@@ -165,6 +165,11 @@ def _parse_block(item, path: str) -> Block:
     return MaxPool(p["window"])
 
 
+def _is_positive_int(v) -> bool:
+    # bool is an int subclass, but JSON true/false is not a count
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 def parse(text: str | dict) -> NetworkSpec:
     """Parse and validate an architecture document (JSON text or dict)."""
     if isinstance(text, str):
@@ -184,13 +189,13 @@ def parse(text: str | dict) -> NetworkSpec:
     inp = doc["input"]
     if isinstance(inp, dict) and set(inp) == {"nodes"}:
         nodes = inp["nodes"]
-        if not isinstance(nodes, int) or nodes < 1:
+        if not _is_positive_int(nodes):
             raise ArchSpecError("input.nodes must be a positive integer")
         shape: int | tuple[int, int, int] = nodes
     elif isinstance(inp, dict) and set(inp) == {"channels", "height", "width"}:
         c, h, w = inp["channels"], inp["height"], inp["width"]
         for name, v in (("channels", c), ("height", h), ("width", w)):
-            if not isinstance(v, int) or v < 1:
+            if not _is_positive_int(v):
                 raise ArchSpecError(f"input.{name} must be a positive integer")
         shape = (c, h, w)
     else:

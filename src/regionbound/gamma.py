@@ -1,9 +1,28 @@
 """Tables of per-layer region histograms for the two bound variants.
 
 ``gamma(variant, n, nprime)`` bounds the activation histogram of an
-n-dimensional space cut by nprime hyperplanes.  The "ours" variant is
-grown column by column from its first-layer seed via the shared
-recursion; the "serra" variant has a binomial closed form.
+n-dimensional space cut by nprime hyperplanes.  Both variants have a
+per-entry closed form over Pascal's triangle, so any single
+gamma(n, nprime) is built without its predecessors.
+
+"serra" has entry i equal to C(nprime, i) for i >= nprime - n, else 0.
+
+"ours" is gamma(0, m) = unit(m), gamma(1, m) = the first-layer seed and
+gamma(m, m) = row m of Pascal's triangle.  For 2 <= n < m, with
+k = m - n, entry i is
+
+* C(m, i) for i > k,
+* 2*C(m-2, n-1) + C(m-2, n-2) for i = k,
+* C(n-2+s, n-2) + 2*C(n-2+s, n-1) for i < k, where s = 2i - k,
+  and 0 when s < 0.
+
+This solves the recursion gamma(n, m) = gamma(n-1, m-1) +
+down_move(gamma(n, m-1)): along its lattice paths i - (m - n) is fixed,
+paths with i < k end on the n=1 seed, and the hockey-stick identity sums
+them.  An "ours" column therefore costs O(nprime^2) big-int additions.
+A column of either variant holds about nprime^2 entries of up to nprime
+bits, so its memory grows as nprime^3 bits; hence the provider's column
+cap.
 """
 from __future__ import annotations
 
@@ -69,13 +88,6 @@ def first_layer_gamma(n: int) -> Histogram:
     return Histogram((0,) * zeros + (n % 2,) + (2,) * (n // 2) + (1,))
 
 
-def serra_first_layer_gamma(n: int) -> Histogram:
-    """Serra seed for one input dimension: (0,...,0,n,1)."""
-    if n < 1:
-        raise ValueError("need at least one hyperplane")
-    return Histogram((0,) * (n - 1) + (n, 1))
-
-
 def serra_gamma(n: int, nprime: int) -> Histogram:
     """Serra closed form: entry i is C(nprime, i) for i >= nprime - n."""
     if nprime < 1:
@@ -85,28 +97,29 @@ def serra_gamma(n: int, nprime: int) -> Histogram:
     return Histogram((0,) * (nprime - n) + row[nprime - n:])
 
 
-# -- shared column recursion ---------------------------------------------------
-
-def column_by_recursion(variant: GammaVariant, nprime: int) -> tuple[Histogram, ...]:
-    """Build the column (gamma(0,nprime), ..., gamma(nprime,nprime)) by the
-    shared recursion gamma(n,m) = gamma(n-1,m-1) + dm(gamma(n,m-1)), keeping
-    only two adjacent columns in memory.
-
-    The variant only selects the n=1 seed.
-    """
+def ours_gamma(n: int, nprime: int) -> Histogram:
+    """Closed form of gamma(n, nprime) for "ours" (see the module docstring)."""
     if nprime < 1:
         raise ValueError("no hyperplanes")
-    seed1 = (first_layer_gamma if variant is GammaVariant.OURS
-             else serra_first_layer_gamma)
-    col = [Histogram.unit(1), Histogram((1, 1))]
-    for m in range(2, nprime + 1):
-        nxt = [Histogram.unit(m), seed1(m)]
-        for n in range(2, m):
-            nxt.append(col[n - 1] + col[n].down_move())
-        # gamma(m, m-1) equals gamma(m-1, m-1) by the n > n' rule
-        nxt.append(col[m - 1] + col[m - 1].down_move())
-        col = nxt
-    return tuple(col)
+    m, n = nprime, min(n, nprime)
+    if n == 0:
+        return Histogram.unit(m)
+    if n == 1:
+        return first_layer_gamma(m)
+    if n == m:
+        return Histogram(binomial_row(m))
+    rows = [binomial_row(j) for j in range(m + 1)]
+    k = m - n
+    entries = [0] * ((k + 1) // 2)  # s = 2i - k < 0
+    if k % 2 == 0:
+        entries.append(1)  # s = 0: C(n-2, n-2) + 2*C(n-2, n-1)
+    for s in range(2 - k % 2, k - 1, 2):
+        row = rows[n - 2 + s]
+        entries.append(row[n - 2] + 2 * row[n - 1])
+    row = rows[m - 2]
+    entries.append(2 * row[n - 1] + row[n - 2])
+    entries.extend(rows[m][k + 1:])
+    return Histogram(entries)
 
 
 class GammaProvider:
@@ -137,11 +150,9 @@ class GammaProvider:
         with self._lock:
             col = self._columns.get(nprime)
             if col is None:
-                if self.variant is GammaVariant.SERRA:
-                    col = tuple(serra_gamma(n, nprime)
-                                for n in range(nprime + 1))
-                else:
-                    col = column_by_recursion(self.variant, nprime)
+                build = (ours_gamma if self.variant is GammaVariant.OURS
+                         else serra_gamma)
+                col = tuple(build(n, nprime) for n in range(nprime + 1))
                 self._columns[nprime] = col
         return col
 

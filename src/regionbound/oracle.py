@@ -68,10 +68,13 @@ class RegionCount:
 def _frac(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise OracleError(f"not a rational number: {value!r}") from None
     raise OracleError(f"weights must be integers or rational strings, "
                       f"got {value!r}")
 
@@ -82,15 +85,22 @@ def net_from_json(text: str | dict) -> ConcreteNet:
     if not isinstance(doc, dict) or set(doc) != {"input", "layers"}:
         raise OracleError("net document needs exactly 'input' and 'layers'")
     n0 = doc["input"]
-    if not isinstance(n0, int) or n0 < 1:
+    if not isinstance(n0, int) or isinstance(n0, bool) or n0 < 1:
         raise OracleError("input must be a positive integer")
+    if not isinstance(doc["layers"], list):
+        raise OracleError("layers must be a list")
     layers = []
     for i, ldoc in enumerate(doc["layers"]):
         if not isinstance(ldoc, dict) or set(ldoc) != {"weights", "bias", "relu"}:
             raise OracleError(f"layer {i} needs weights, bias and relu")
-        weights = tuple(tuple(_frac(x) for x in row)
-                        for row in ldoc["weights"])
-        bias = tuple(_frac(x) for x in ldoc["bias"])
+        rows, bias = ldoc["weights"], ldoc["bias"]
+        if not isinstance(rows, list) or not all(isinstance(r, list)
+                                                 for r in rows):
+            raise OracleError(f"layer {i}: weights must be a list of rows")
+        if not isinstance(bias, list):
+            raise OracleError(f"layer {i}: bias must be a list")
+        weights = tuple(tuple(_frac(x) for x in row) for row in rows)
+        bias = tuple(_frac(x) for x in bias)
         if not isinstance(ldoc["relu"], bool):
             raise OracleError(f"layer {i}: relu must be a boolean")
         layers.append(Layer(weights, bias, ldoc["relu"]))

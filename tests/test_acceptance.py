@@ -10,11 +10,11 @@ from fractions import Fraction
 
 from click.testing import CliRunner
 
-from conftest import random_concrete_net, random_mlp_spec
+from conftest import (columns_by_recursion, random_concrete_net,
+                      random_mlp_spec)
 from regionbound import archspec, engine, oracle
 from regionbound.cli import main as cli_main
-from regionbound.gamma import (GammaProvider, GammaVariant,
-                               column_by_recursion, serra_gamma)
+from regionbound.gamma import GammaProvider, GammaVariant, serra_gamma
 
 
 def criterion(name, limit_s):
@@ -178,7 +178,7 @@ def test_criterion_7_sweep_ratios():
 
 @criterion("closed-form cross-check up to n'=64", 60.0)
 def test_criterion_8_serra_recursion():
-    for nprime in range(1, 65):
-        by_rec = column_by_recursion(GammaVariant.SERRA, nprime)
+    for nprime, by_rec in enumerate(
+            columns_by_recursion(GammaVariant.SERRA, 64), start=1):
         for n in range(nprime + 1):
             assert by_rec[n] == serra_gamma(n, nprime)

@@ -46,6 +46,17 @@ class TestParse:
         with pytest.raises(ArchSpecError, match="degenerate maxout"):
             archspec.parse(doc)
 
+    @pytest.mark.parametrize("inp", [
+        {"nodes": True},
+        {"channels": True, "height": 4, "width": 4},
+        {"channels": 1, "height": True, "width": 4},
+        {"channels": 1, "height": 4, "width": True},
+    ])
+    def test_bool_input_size_rejected(self, inp):
+        doc = {"input": inp, "blocks": [{"dense": {"out": 1, "relu": False}}]}
+        with pytest.raises(ArchSpecError, match="must be a positive integer"):
+            archspec.parse(doc)
+
     def test_malformed_json(self):
         with pytest.raises(ArchSpecError, match="malformed JSON"):
             archspec.parse("{not json")

@@ -95,6 +95,16 @@ class TestBound:
         assert res.exit_code == 1
         assert "malformed JSON" in res.stderr
 
+    def test_bool_input_nodes_exits_one(self, runner, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(
+            {"input": {"nodes": True},
+             "blocks": [{"dense": {"out": 1, "relu": False}}]}))
+        res = runner.invoke(main, ["bound", str(path)])
+        assert isinstance(res.exception, SystemExit)
+        assert res.exit_code == 1
+        assert "input.nodes must be a positive integer" in res.stderr
+
     def test_cap_exceeded_exits_two(self, runner, tmp_path):
         path = mlp_file(tmp_path, 10, [40])
         res = runner.invoke(main, ["--gamma-cap", "8", "bound", path])
@@ -154,6 +164,25 @@ class TestOracle:
         path.write_text('{"input": 1}')
         res = runner.invoke(main, ["oracle", str(path)])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("doc", [
+        {"input": 1, "layers": [{"weights": 5, "bias": [1], "relu": True}]},
+        {"input": 1, "layers": [{"weights": [5], "bias": [1], "relu": True}]},
+        {"input": 1, "layers": [{"weights": [[1]], "bias": 1, "relu": True}]},
+        {"input": 1, "layers": 5},
+        {"input": 1, "layers": [{"weights": [["1/0"]], "bias": [1],
+                                 "relu": True}]},
+        {"input": True, "layers": []},
+    ])
+    def test_malformed_net_is_a_clean_error(self, runner, tmp_path, doc):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["oracle", str(path)])
+        # an uncaught exception would also give exit code 1 under CliRunner
+        assert isinstance(res.exception, SystemExit)
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: ")
+        assert "Traceback" not in res.output
 
 
 class TestDemo:

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
+from conftest import columns_by_recursion
 from regionbound.gamma import (ColumnCapExceeded, GammaProvider, GammaVariant,
-                               binomial_row, column_by_recursion,
-                               first_layer_gamma, gamma_norm, serra_gamma)
+                               binomial_row, first_layer_gamma, gamma_norm,
+                               serra_gamma)
 from regionbound.histogram import Histogram
 
 # Columns of the published n'=6 tables, index n -> (entry_0, ..., entry_6).
@@ -116,10 +117,32 @@ class TestBoundCondition:
 
 class TestSerraRecursion:
     def test_closed_form_satisfies_recursion(self):
-        for nprime in (2, 6, 16):
-            by_rec = column_by_recursion(GammaVariant.SERRA, nprime)
+        for nprime, by_rec in enumerate(
+                columns_by_recursion(GammaVariant.SERRA, 16), start=1):
+            if nprime not in (2, 6, 16):
+                continue
             closed = tuple(serra_gamma(n, nprime) for n in range(nprime + 1))
             assert by_rec == closed
+
+
+class TestOursClosedForm:
+    def test_matches_recursion_up_to_128(self):
+        gp = GammaProvider("ours")
+        for nprime, by_rec in enumerate(
+                columns_by_recursion(GammaVariant.OURS, 128), start=1):
+            assert gp.column(nprime) == by_rec, nprime
+
+    @pytest.mark.parametrize("nprime", [200, 512])
+    def test_large_column(self, nprime):
+        col = GammaProvider("ours").column(nprime)
+        assert len(col) == nprime + 1
+        for n, h in enumerate(col):
+            assert h.l1() == gamma_norm(n, nprime)
+            for i in range(nprime - n + 1, nprime + 1):
+                assert h[i] == math.comb(nprime, i)
+            if n < nprime:
+                assert h.leq(col[n + 1])
+        assert col[nprime] == Histogram(binomial_row(nprime))
 
 
 class TestCap:

@@ -135,6 +135,25 @@ class TestNetJson:
         with pytest.raises(OracleError):
             net_from_json({"input": 1})
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("input", True, "input must be a positive integer"),
+        ("layers", "abc", "layers must be a list"),
+        ("weights", 5, "weights must be a list of rows"),
+        ("weights", [5], "weights must be a list of rows"),
+        ("weights", [[True]], "integers or rational strings"),
+        ("weights", [["x/2"]], "not a rational number"),
+        ("bias", 1, "bias must be a list"),
+    ])
+    def test_malformed_field_rejected(self, field, value, match):
+        layer = {"weights": [["1"]], "bias": ["0"], "relu": True}
+        doc = {"input": 1, "layers": [layer]}
+        if field in doc:
+            doc[field] = value
+        else:
+            layer[field] = value
+        with pytest.raises(OracleError, match=match):
+            net_from_json(doc)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(OracleError, match="expects"):
             ConcreteNet(2, (Layer(((F(1),),), (F(0),), True),))
