@@ -177,6 +177,8 @@ def parse(text: str | dict) -> NetworkSpec:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ArchSpecError(f"malformed JSON: {exc}") from None
+        except RecursionError:
+            raise ArchSpecError("document is nested too deeply") from None
     else:
         doc = text
     if not isinstance(doc, dict):
@@ -332,17 +334,6 @@ def resolve(spec: NetworkSpec) -> tuple[ResolvedStage, ...]:
     """Lower the block tree into a concrete stage sequence."""
     stages, _ = _resolve_blocks(spec.blocks, spec.input_shape, "blocks")
     return tuple(stages)
-
-
-def flatten(stages) -> tuple[ResolvedStage, ...]:
-    """Splice skip/residual bodies in place of their wrappers."""
-    out: list[ResolvedStage] = []
-    for st in stages:
-        if st.kind in ("skip", "residual"):
-            out.extend(flatten(st.body))
-        else:
-            out.append(st)
-    return tuple(out)
 
 
 def strip_wrappers(spec: NetworkSpec) -> NetworkSpec:

@@ -40,9 +40,8 @@ def _guarded(fn):
         except ColumnCapExceeded as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
-        except (archspec.ArchSpecError, oracle.OracleError,
-                transfer.DimensionMismatch, ValueError, OSError,
-                json.JSONDecodeError) as exc:
+        except (archspec.ArchSpecError, oracle.OracleError, ValueError,
+                OSError, json.JSONDecodeError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
     return wrapper

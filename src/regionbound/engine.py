@@ -1,19 +1,31 @@
 """Bound evaluation over resolved stage sequences.
 
-Runs the histogram through one transform per stage, handling nested
-skip/residual segments by composing the segment's matrix and taking its
-column-norm diagonal.  All arithmetic is exact.
+Each stage, at ambient dimension d, becomes one map from histogram to
+histogram, and the bound is the mass of the input unit(n0) after all of
+them:
+
+* ReLU ``dense`` with n_out units: clip to n_out, then the B matrix
+  (``regionbound.transfer``);
+* ``linear`` of rank r: clip to min(d, r, n_out);
+* ``maxpool``: scale entry n by gamma_norm(n, c), then clip to n_out;
+* ``skip``/``residual``: scale entry j by the mass of the body's maps
+  applied to unit(j), that is by the column sums of the body's matrix;
+* ``dense`` without ReLU: the identity.
+
+Skip and residual bodies run through the same maps as top-level stages.
+All arithmetic is exact.
 """
 from __future__ import annotations
 
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import transfer
 from .archspec import ResolvedStage, mlp, resolve
-from .gamma import DEFAULT_COLUMN_CAP, GammaProvider, GammaVariant
+from .gamma import (DEFAULT_COLUMN_CAP, GammaProvider, GammaVariant,
+                    gamma_norm)
 from .histogram import Histogram
 
 
@@ -61,45 +73,69 @@ def format_ratio(ratio: Fraction, digits: int = 4) -> str:
     return f"{ds[0]}.{ds[1:]}×10^{exp}"
 
 
-def _stage_factors(stage: ResolvedStage, d: int, provider: GammaProvider,
-                   halved_c: bool) -> tuple[list[transfer.StageTransform], int]:
-    """Transforms to apply (in order) for one stage at ambient dimension d,
-    plus the ambient dimension afterwards."""
+Stage = Callable[[Histogram], Histogram]
+
+
+def _identity(h: Histogram) -> Histogram:
+    return h
+
+
+def _scaled(h: Histogram, factors: Sequence[int]) -> Histogram:
+    """Entry n of h times factors[n]; factors covers every index of h."""
+    return Histogram([x * f for x, f in zip(h.entries, factors)])
+
+
+def _stage_map(stage: ResolvedStage, d: int, provider: GammaProvider,
+               halved_c: bool) -> tuple[Stage, int]:
+    """The map one stage applies at ambient dimension d, plus the ambient
+    dimension afterwards."""
     if stage.kind == "dense":
         if not stage.relu:
-            return [], d  # linear output layer contributes no cuts
-        return [transfer.m_matrix(d, stage.n_out),
-                transfer.b_matrix(provider, stage.n_out)], stage.n_out
+            return _identity, d  # linear output layer contributes no cuts
+        n_out = stage.n_out
+        b = transfer.b_matrix(provider, n_out)
+        return (lambda h: b.apply(h.clip(n_out))), n_out
     if stage.kind == "linear":
+        # clip to the rank; embedding into n_out dimensions is a no-op
         k = min(d, stage.rank, stage.n_out)
-        return [transfer.m_matrix(d, k),
-                transfer.m_matrix(k, stage.n_out)], stage.n_out
+        return (lambda h: h.clip(k)), stage.n_out
     if stage.kind == "maxpool":
-        return [transfer.maxpool_diag(d, stage.n_out, stage.k,
-                                      halved_c=halved_c),
-                transfer.m_matrix(d, stage.n_out)], stage.n_out
+        # a maxout layer with n_out units of rank k cuts like
+        # c = (k^2 - k) * n_out hyperplanes; halved_c takes c/2, the
+        # smaller constant of the max-pooling proof
+        if stage.k < 2:
+            raise ValueError("degenerate maxout")
+        n_out = stage.n_out
+        c = (stage.k * stage.k - stage.k) * n_out
+        if halved_c:
+            c //= 2
+        factors = [gamma_norm(n, c) for n in range(d + 1)]
+        return (lambda h: _scaled(h, factors).clip(n_out)), n_out
     if stage.kind in ("skip", "residual"):
-        seg, body_out = _segment_matrix(stage.body, d, provider, halved_c)
-        diag = transfer.skip_diag(seg)
+        # entry j is the number of regions the body carves out of one
+        # j-dimensional region; concatenating or adding the input back
+        # restores each region's dimension to j
+        body, body_out = _stage_maps(stage.body, d, provider, halved_c)
+        factors = [_run(body, Histogram.unit(j)).l1() for j in range(d + 1)]
         d_after = d + body_out if stage.kind == "skip" else d
-        return [diag], d_after
+        return (lambda h: _scaled(h, factors)), d_after
     raise ValueError(f"unknown stage kind '{stage.kind}'")
 
 
-def _segment_matrix(stages: Sequence[ResolvedStage], d: int,
-                    provider: GammaProvider,
-                    halved_c: bool) -> tuple[transfer.StageTransform, int]:
-    t = transfer.identity(d + 1)
+def _stage_maps(stages: Sequence[ResolvedStage], d: int,
+                provider: GammaProvider,
+                halved_c: bool) -> tuple[list[Stage], int]:
+    maps = []
     for stage in stages:
-        factors, d_next = _stage_factors(stage, d, provider, halved_c)
-        for f in factors:
-            if f.cols > t.rows:
-                # ambient grew (skip concatenation): zero-pad first
-                t = transfer.compose(transfer.m_matrix(t.rows - 1, f.cols - 1),
-                                     t)
-            t = transfer.compose(f, t)
-        d = d_next
-    return t, d
+        f, d = _stage_map(stage, d, provider, halved_c)
+        maps.append(f)
+    return maps, d
+
+
+def _run(maps: Sequence[Stage], h: Histogram) -> Histogram:
+    for f in maps:
+        h = f(h)
+    return h
 
 
 def evaluate(stages: Sequence[ResolvedStage], variant: GammaVariant | str,
@@ -112,13 +148,11 @@ def evaluate(stages: Sequence[ResolvedStage], variant: GammaVariant | str,
         provider = GammaProvider(variant, cap=gamma_cap)
     elif provider.variant is not variant:
         raise ValueError("provider variant does not match requested variant")
+    maps, _ = _stage_maps(stages, n0, provider, halved_c)
     h = Histogram.unit(n0)
-    d = n0
     per_stage: list[tuple[str, Histogram]] = []
-    for stage in stages:
-        factors, d = _stage_factors(stage, d, provider, halved_c)
-        for f in factors:
-            h = transfer.apply(f, h)
+    for stage, f in zip(stages, maps):
+        h = f(h)
         per_stage.append((stage.label or stage.kind, h))
     bound = h.l1()
     return BoundReport(bound, variant, tuple(per_stage),

@@ -122,9 +122,6 @@ class Histogram:
         return "(" + ",".join(str(e) for e in es) + ")"
 
 
-ZERO = Histogram()
-
-
 def max_hist(vs: Iterable[Histogram]) -> Histogram:
     """Least upper bound of a non-empty collection under the tail-sum order."""
     hs = list(vs)

@@ -81,7 +81,13 @@ def _frac(value) -> Fraction:
 
 def net_from_json(text: str | dict) -> ConcreteNet:
     """Net description: {"input": n0, "layers": [{"weights", "bias", "relu"}]}."""
-    doc = json.loads(text) if isinstance(text, str) else text
+    if isinstance(text, str):
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise OracleError("net document is nested too deeply") from None
+    else:
+        doc = text
     if not isinstance(doc, dict) or set(doc) != {"input", "layers"}:
         raise OracleError("net document needs exactly 'input' and 'layers'")
     n0 = doc["input"]

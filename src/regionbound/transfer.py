@@ -1,133 +1,61 @@
-"""Explicit histogram-transform matrices for network stages.
+"""The ReLU-layer B matrix.
 
-Every stage of a network acts linearly on the region-dimension histogram:
-a ReLU layer is a B matrix, a rank-limited linear map is a clip/embed M
-matrix, max-pooling and skip/residual wrappers are diagonal scalings.
-All entries are exact non-negative integers.
+Every stage of a network maps the region-dimension histogram to a new
+one (see ``regionbound.engine``).  Rank limits are clips and max-pooling
+and skip/residual wrappers are diagonal scalings; only a ReLU layer
+needs a matrix.  For n' hyperplanes, column j of B is
+clip(gamma(j, n'), j): the pieces an n'-hyperplane cut makes of one
+j-dimensional region, none of dimension above j.  B is therefore upper
+triangular.  It is stored by columns, so applying it adds h[j] times
+column j over the non-zero entries of h only.  All entries are exact
+non-negative integers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import kernels
-from .gamma import GammaProvider, gamma_norm
+from .gamma import GammaProvider
 from .histogram import Histogram
 
 
-class DimensionMismatch(Exception):
-    pass
+class BMatrix:
+    """Square upper-triangular matrix of big integers, stored by columns."""
 
+    __slots__ = ("columns",)
 
-@dataclass(frozen=True)
-class StageTransform:
-    """Dense matrix of non-negative big integers acting on histograms."""
+    def __init__(self, columns: tuple[Histogram, ...]):
+        self.columns = columns
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]  # row-major
-    kind: str  # B | M | maxpool_diag | skip_diag | product
+    @property
+    def rows(self) -> int:
+        return len(self.columns)
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("column count mismatch")
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
 
     def column(self, j: int) -> Histogram:
-        return Histogram(row[j] for row in self.entries)
+        return self.columns[j]
 
     def render(self) -> str:
         """Rows of space-separated decimals (appendix matrix layout)."""
-        return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
+        return "\n".join(" ".join(str(c[i]) for c in self.columns)
+                         for i in range(self.rows))
+
+    def apply(self, h: Histogram) -> Histogram:
+        """Exact product B h: the sum of h[j] * column j."""
+        if len(h) > self.cols:
+            raise ValueError(f"histogram of length {len(h)} does not fit "
+                             f"{self.rows}x{self.cols} transform")
+        acc = [0] * self.rows
+        for x, col in zip(h.entries, self.columns):
+            if x:
+                for i, c in enumerate(col.entries):
+                    acc[i] += x * c
+        return Histogram(acc)
 
 
-def identity(n: int) -> StageTransform:
-    return StageTransform(
-        n, n,
-        tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
-        "M")
-
-
-def m_matrix(n: int, nprime: int) -> StageTransform:
-    """Clip/embed matrix: (nprime+1) x (n+1), entry (i,j) = delta_{i,min(j,nprime)}.
-
-    Applying it clips to index nprime when nprime < n and zero-pads otherwise.
-    """
-    if n < 0 or nprime < 0:
-        raise ValueError("negative dimensions")
-    rows = []
-    for i in range(nprime + 1):
-        rows.append(tuple(1 if i == min(j, nprime) else 0
-                          for j in range(n + 1)))
-    return StageTransform(nprime + 1, n + 1, tuple(rows), "M")
-
-
-def b_matrix(provider: GammaProvider, nprime: int) -> StageTransform:
-    """ReLU-layer matrix: column j (1-indexed) is clip(gamma(j-1, nprime), j-1)."""
+def b_matrix(provider: GammaProvider, nprime: int) -> BMatrix:
+    """ReLU-layer matrix: column j is clip(gamma(j, nprime), j)."""
     if nprime < 1:
         raise ValueError("no hyperplanes")
-    col_hists = provider.column(nprime)
-    cols = [col_hists[n].clip(n) for n in range(nprime + 1)]
-    rows = tuple(tuple(c[i] for c in cols) for i in range(nprime + 1))
-    return StageTransform(nprime + 1, nprime + 1, rows, "B")
-
-
-def maxpool_diag(n_in: int, n_out: int, k: int, *,
-                 halved_c: bool = False) -> StageTransform:
-    """Region-multiplication diagonal for a k-rank maxout / max-pool stage.
-
-    The maxout layer with n_out units behaves like cutting by
-    c = (k^2 - k) * n_out hyperplanes; ``halved_c`` selects c/2 instead
-    (the smaller constant used in the proof of the max-pooling bound).
-    The consumer composes with m_matrix(n_in, n_out) to apply the final clip.
-    """
-    if k < 2:
-        raise ValueError("degenerate maxout")
-    if n_out < 1:
-        raise ValueError("need at least one output node")
-    c = (k * k - k) * n_out
-    if halved_c:
-        c //= 2
-    rows = tuple(
-        tuple(gamma_norm(n, c) if n == j else 0 for j in range(n_in + 1))
-        for n in range(n_in + 1))
-    return StageTransform(n_in + 1, n_in + 1, rows, "maxpool_diag")
-
-
-def skip_diag(segment: StageTransform) -> StageTransform:
-    """Diagonal of column l1 norms of a wrapped segment matrix.
-
-    Entry (n,n) is the number of regions the segment can carve out of one
-    n-dimensional input region; concatenating the input back restores each
-    region's dimension to n.
-    """
-    sums = kernels.column_sums(segment.entries, segment.cols)
-    rows = tuple(tuple(sums[j] if i == j else 0 for j in range(segment.cols))
-                 for i in range(segment.cols))
-    return StageTransform(segment.cols, segment.cols, rows, "skip_diag")
-
-
-def residual_diag(segment: StageTransform) -> StageTransform:
-    """Residual addition bounds regions exactly like a skip concatenation."""
-    return skip_diag(segment)
-
-
-def compose(a: StageTransform, b: StageTransform) -> StageTransform:
-    """Matrix product a @ b (apply b first)."""
-    if a.cols != b.rows:
-        raise DimensionMismatch(
-            f"cannot compose {a.rows}x{a.cols} with {b.rows}x{b.cols}")
-    prod = kernels.mat_mat(a.entries, b.entries)
-    return StageTransform(a.rows, b.cols,
-                          tuple(tuple(row) for row in prod), "product")
-
-
-def apply(t: StageTransform, v: Histogram) -> Histogram:
-    """Exact matrix-vector product; v is zero-extended to t.cols."""
-    if len(v) > t.cols:
-        raise DimensionMismatch(
-            f"histogram of length {len(v)} does not fit "
-            f"{t.rows}x{t.cols} transform")
-    vec = v.entries + (0,) * (t.cols - len(v))
-    return Histogram(kernels.mat_vec(t.entries, vec))
+    col = provider.column(nprime)
+    return BMatrix(tuple(col[j].clip(j) for j in range(nprime + 1)))

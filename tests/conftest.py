@@ -2,7 +2,8 @@ import random
 from fractions import Fraction
 
 from regionbound import archspec, engine, oracle
-from regionbound.gamma import GammaVariant, first_layer_gamma
+from regionbound.gamma import (GammaProvider, GammaVariant, first_layer_gamma,
+                               gamma_norm)
 from regionbound.histogram import Histogram
 
 
@@ -66,3 +67,145 @@ def random_concrete_net(rng: random.Random, n0=1, max_width=8, max_depth=3):
                            for _ in range(d)),))
     layers.append(oracle.Layer(weights, (Fraction(0),), False))
     return oracle.ConcreteNet(n0, tuple(layers))
+
+
+def flatten(stages) -> tuple[archspec.ResolvedStage, ...]:
+    """Splice skip/residual bodies in place of their wrappers."""
+    out: list[archspec.ResolvedStage] = []
+    for st in stages:
+        if st.kind in ("skip", "residual"):
+            out.extend(flatten(st.body))
+        else:
+            out.append(st)
+    return tuple(out)
+
+
+# -- dense-matrix reference for the engine -------------------------------------
+#
+# Every stage as an explicit matrix (row-major lists of ints), applied by
+# plain matrix products.  Skip/residual bodies are composed into one matrix
+# whose column sums give the wrapper's diagonal.
+
+
+def ref_mat_vec(a, v):
+    v = list(v) + [0] * (len(a[0]) - len(v))
+    assert len(v) == len(a[0]), "histogram does not fit the matrix"
+    return [sum(w * x for w, x in zip(row, v)) for row in a]
+
+
+def ref_mat_mat(a, b):
+    assert len(a[0]) == len(b), "matrix shapes do not compose"
+    out = []
+    for arow in a:
+        acc = [0] * len(b[0])
+        for w, brow in zip(arow, b):
+            if w:
+                for j, x in enumerate(brow):
+                    acc[j] += w * x
+        out.append(acc)
+    return out
+
+
+def ref_m_matrix(n, nprime):
+    """(nprime+1) x (n+1), entry (i, j) = [i == min(j, nprime)]: clips to
+    nprime when nprime < n and zero-pads otherwise."""
+    return [[int(i == min(j, nprime)) for j in range(n + 1)]
+            for i in range(nprime + 1)]
+
+
+def ref_b_matrix(provider, nprime):
+    """Row-major B: column j is clip(gamma(j, nprime), j)."""
+    cols = [provider.gamma(j, nprime).clip(j) for j in range(nprime + 1)]
+    return [[c[i] for c in cols] for i in range(nprime + 1)]
+
+
+def ref_diag(values):
+    return [[values[i] if i == j else 0 for j in range(len(values))]
+            for i in range(len(values))]
+
+
+def _ref_factors(stage, d, provider, halved_c):
+    if stage.kind == "dense":
+        if not stage.relu:
+            return [], d
+        return [ref_m_matrix(d, stage.n_out),
+                ref_b_matrix(provider, stage.n_out)], stage.n_out
+    if stage.kind == "linear":
+        k = min(d, stage.rank, stage.n_out)
+        return [ref_m_matrix(d, k), ref_m_matrix(k, stage.n_out)], stage.n_out
+    if stage.kind == "maxpool":
+        c = (stage.k * stage.k - stage.k) * stage.n_out
+        if halved_c:
+            c //= 2
+        return [ref_diag([gamma_norm(n, c) for n in range(d + 1)]),
+                ref_m_matrix(d, stage.n_out)], stage.n_out
+    seg, body_out = _ref_segment(stage.body, d, provider, halved_c)
+    sums = [sum(row[j] for row in seg) for j in range(d + 1)]
+    return [ref_diag(sums)], (d + body_out if stage.kind == "skip" else d)
+
+
+def _ref_segment(stages, d, provider, halved_c):
+    t = ref_m_matrix(d, d)  # identity
+    for stage in stages:
+        factors, d_next = _ref_factors(stage, d, provider, halved_c)
+        for f in factors:
+            if len(f[0]) > len(t):
+                # ambient grew (skip concatenation): zero-pad first
+                t = ref_mat_mat(ref_m_matrix(len(t) - 1, len(f[0]) - 1), t)
+            t = ref_mat_mat(f, t)
+        d = d_next
+    return t, d
+
+
+def reference_per_stage(stages, variant, n0, halved_c=False):
+    """(label, histogram) after every top-level stage, by dense matrices."""
+    provider = GammaProvider(variant)
+    h = Histogram.unit(n0)
+    d = n0
+    out = []
+    for stage in stages:
+        factors, d = _ref_factors(stage, d, provider, halved_c)
+        for f in factors:
+            h = Histogram(ref_mat_vec(f, h.entries))
+        out.append((stage.label or stage.kind, h))
+    return tuple(out)
+
+
+def random_stage_tree(rng: random.Random, d: int, depth: int = 3,
+                      max_len: int = 3, max_width: int = 6):
+    """Random stage list at input width d with nested skip/residual bodies.
+
+    Covers every stage kind; residual bodies end on a stage of width d.
+    Returns (stages, output width).
+    """
+    stages = []
+    for _ in range(rng.randint(1, max_len)):
+        kinds = ["dense", "dense_linear", "linear", "maxpool"]
+        if depth > 0:
+            kinds += ["skip", "residual"]
+        kind = rng.choice(kinds)
+        if kind in ("skip", "residual"):
+            body, body_out = random_stage_tree(rng, d, depth - 1, max_len,
+                                               max_width)
+            if kind == "residual" and body_out != d:
+                body.append(archspec.ResolvedStage(
+                    "dense", body_out, d, relu=rng.random() < 0.7))
+            n_out = d + body_out if kind == "skip" else d
+            stages.append(archspec.ResolvedStage(kind, d, n_out,
+                                                 body=tuple(body)))
+            d = n_out
+            continue
+        n_out = rng.randint(1, max_width)
+        if kind == "dense":
+            stages.append(archspec.ResolvedStage("dense", d, n_out,
+                                                 relu=True))
+        elif kind == "dense_linear":
+            stages.append(archspec.ResolvedStage("dense", d, n_out))
+        elif kind == "linear":
+            stages.append(archspec.ResolvedStage(
+                "linear", d, n_out, rank=rng.randint(1, max(d, n_out))))
+        else:
+            stages.append(archspec.ResolvedStage(
+                "maxpool", d, n_out, k=rng.choice([2, 4, 9])))
+        d = n_out
+    return stages, d

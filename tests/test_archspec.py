@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import flatten
 from regionbound import archspec
 from regionbound.archspec import ArchSpecError
 
@@ -144,7 +145,7 @@ class TestBuiltins:
         assert inner.body  # nested skip present
 
     def test_ae_matches_unet_without_skips(self):
-        unet = archspec.flatten(archspec.resolve(archspec.builtin("unet_small")))
+        unet = flatten(archspec.resolve(archspec.builtin("unet_small")))
         ae = archspec.resolve(archspec.builtin("ae_small"))
         assert [(s.kind, s.n_out, s.rank, s.relu, s.k) for s in unet] == \
             [(s.kind, s.n_out, s.rank, s.relu, s.k) for s in ae]

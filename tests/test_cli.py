@@ -105,6 +105,18 @@ class TestBound:
         assert res.exit_code == 1
         assert "input.nodes must be a positive integer" in res.stderr
 
+    def test_deeply_nested_arch_exits_one(self, runner, tmp_path):
+        path = tmp_path / "deep.json"
+        body = '{"dense": {"out": 3, "relu": true}}'
+        for _ in range(400):
+            body = '{"residual": {"body": [' + body + ']}}'
+        path.write_text('{"input": {"nodes": 3}, "blocks": [' + body + ']}')
+        res = runner.invoke(main, ["bound", str(path)])
+        assert isinstance(res.exception, SystemExit)
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: ")
+        assert "Traceback" not in res.output
+
     def test_cap_exceeded_exits_two(self, runner, tmp_path):
         path = mlp_file(tmp_path, 10, [40])
         res = runner.invoke(main, ["--gamma-cap", "8", "bound", path])
@@ -164,6 +176,16 @@ class TestOracle:
         path.write_text('{"input": 1}')
         res = runner.invoke(main, ["oracle", str(path)])
         assert res.exit_code == 1
+
+    def test_deeply_nested_net_exits_one(self, runner, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text('{"input": 1, "layers": ' + "[" * 5000 + "]" * 5000
+                        + "}")
+        res = runner.invoke(main, ["oracle", str(path)])
+        assert isinstance(res.exception, SystemExit)
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: ")
+        assert "Traceback" not in res.output
 
     @pytest.mark.parametrize("doc", [
         {"input": 1, "layers": [{"weights": 5, "bias": [1], "relu": True}]},

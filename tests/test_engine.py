@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mlp_bound, random_mlp_spec
+from conftest import (mlp_bound, random_mlp_spec, random_stage_tree,
+                      reference_per_stage)
 from regionbound import archspec, engine
 from regionbound.gamma import gamma_norm
 
@@ -99,6 +100,48 @@ class TestSkipResidual:
         full = engine.evaluate(stages, "ours", spec.input_nodes,
                                halved_c=True)
         assert report.bound >= full.bound >= 1
+
+
+class TestMatrixReference:
+    """per_stage equals the product of the explicit stage matrices."""
+
+    @pytest.mark.parametrize("name", ["unet_small", "ae_small",
+                                      "resnet_small"])
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_builtins(self, name, variant):
+        spec = archspec.builtin(name)
+        stages = archspec.resolve(spec)
+        assert engine.evaluate(stages, variant, spec.input_nodes).per_stage \
+            == reference_per_stage(stages, variant, spec.input_nodes)
+
+    @pytest.mark.parametrize("halved_c", [False, True])
+    def test_maxpool_net(self, halved_c):
+        conv = {"conv": {"out_channels": 2, "kernel": 3, "stride": 1,
+                         "padding": 1, "relu": True}}
+        doc = {"input": {"channels": 1, "height": 4, "width": 4},
+               "blocks": [conv, {"maxpool": {"window": 2}},
+                          {"skip": {"body": [{"maxpool": {"window": 2}},
+                                             {"dense": {"out": 3,
+                                                        "relu": True}}]}},
+                          {"dense": {"out": 4, "relu": True}},
+                          {"dense": {"out": 1, "relu": False}}]}
+        spec = archspec.parse(doc)
+        stages = archspec.resolve(spec)
+        got = engine.evaluate(stages, "ours", spec.input_nodes,
+                              halved_c=halved_c).per_stage
+        assert got == reference_per_stage(stages, "ours", spec.input_nodes,
+                                          halved_c)
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_random_nested(self, variant):
+        rng = random.Random(61)
+        for _ in range(40):
+            n0 = rng.randint(1, 5)
+            stages, _ = random_stage_tree(rng, n0)
+            halved_c = rng.random() < 0.5
+            got = engine.evaluate(stages, variant, n0,
+                                  halved_c=halved_c).per_stage
+            assert got == reference_per_stage(stages, variant, n0, halved_c)
 
 
 class TestCompareAndSweep:

@@ -1,8 +1,13 @@
+"""Stage transforms: the B matrix, and the clips and diagonal scalings the
+engine applies for rank-limited, max-pooling and skip/residual stages."""
 import random
 
 import pytest
 
-from regionbound import transfer
+from conftest import (random_stage_tree, ref_b_matrix, ref_m_matrix,
+                      ref_mat_vec)
+from regionbound import engine, transfer
+from regionbound.archspec import ResolvedStage
 from regionbound.gamma import GammaProvider, gamma_norm
 from regionbound.histogram import Histogram
 
@@ -31,15 +36,42 @@ def rand_hist(rng, max_len=8, max_entry=20):
                      for _ in range(rng.randint(0, max_len)))
 
 
+def rendered_rows(b):
+    return [tuple(int(x) for x in line.split())
+            for line in b.render().splitlines()]
+
+
+def stage_map(stage, d, halved_c=False):
+    f, _ = engine._stage_map(stage, d, GammaProvider("ours"), halved_c)
+    return f
+
+
+def bound(stages, n0, halved_c=False):
+    return engine.evaluate(stages, "ours", n0, halved_c=halved_c).bound
+
+
+def skip(*body):
+    return ResolvedStage("skip", 0, 0, body=body)
+
+
+def dense(n_out, relu=True):
+    return ResolvedStage("dense", 0, n_out, relu=relu)
+
+
+def maxpool(n_out, k):
+    return ResolvedStage("maxpool", 0, n_out, k=k)
+
+
 class TestBMatrix:
     def test_golden_6(self):
-        assert transfer.b_matrix(GammaProvider("ours"), 6).entries == \
-            tuple(OURS_B6)
-        assert transfer.b_matrix(GammaProvider("serra"), 6).entries == \
-            tuple(SERRA_B6)
+        assert rendered_rows(transfer.b_matrix(GammaProvider("ours"), 6)) \
+            == OURS_B6
+        assert rendered_rows(transfer.b_matrix(GammaProvider("serra"), 6)) \
+            == SERRA_B6
 
     def test_b2_columns(self):
         b = transfer.b_matrix(GammaProvider("ours"), 2)
+        assert (b.rows, b.cols) == (3, 3)
         assert b.column(0) == Histogram((1, 0, 0))
         assert b.column(1) == Histogram((0, 3, 0))
         assert b.column(2) == Histogram((1, 2, 1))
@@ -49,14 +81,34 @@ class TestBMatrix:
         for j in range(7):
             assert b.column(j).leq(b.column(j + 1))
 
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_apply_matches_row_major(self, variant):
+        rng = random.Random(11)
+        provider = GammaProvider(variant)
+        for nprime in range(1, 13):
+            b = transfer.b_matrix(provider, nprime)
+            dense_b = ref_b_matrix(provider, nprime)
+            assert rendered_rows(b) == [tuple(row) for row in dense_b]
+            for _ in range(10):
+                h = rand_hist(rng, max_len=nprime + 1, max_entry=10 ** 30)
+                assert b.apply(h) == Histogram(ref_mat_vec(dense_b, h))
+
 
 class TestMMatrix:
+    """The clip/embed M matrix of a rank-limited stage is Histogram.clip."""
+
     def test_identity_case(self):
-        assert transfer.m_matrix(4, 4).entries == transfer.identity(5).entries
+        rng = random.Random(2)
+        f = stage_map(ResolvedStage("linear", 4, 4, rank=4), 4)
+        for _ in range(20):
+            v = rand_hist(rng, max_len=5)
+            assert f(v) == v
 
     def test_embedding(self):
-        m = transfer.m_matrix(1, 2)
-        assert transfer.apply(m, Histogram((0, 1))) == Histogram((0, 1, 0))
+        f, d = engine._stage_map(ResolvedStage("linear", 1, 2, rank=1), 1,
+                                 GammaProvider("ours"), False)
+        assert d == 2
+        assert f(Histogram((0, 1))) == Histogram((0, 1, 0))
 
     def test_apply_equals_clip(self):
         rng = random.Random(3)
@@ -64,90 +116,91 @@ class TestMMatrix:
             v = rand_hist(rng)
             n = max(len(v) - 1, 0)
             nprime = rng.randint(0, 8)
-            m = transfer.m_matrix(n, nprime)
-            assert transfer.apply(m, v) == v.clip(nprime)
+            f = stage_map(ResolvedStage("linear", n, nprime, rank=nprime), n)
+            assert f(v) == v.clip(nprime)
+            assert f(v) == Histogram(ref_mat_vec(ref_m_matrix(n, nprime), v))
 
 
 class TestMaxpoolDiag:
+    """Entry n of a maxpool stage's diagonal is its bound on unit(n)."""
+
     def test_k4_single_output(self):
-        d = transfer.maxpool_diag(4, 1, 4)
-        assert [d.entries[n][n] for n in range(5)] == \
-            [gamma_norm(n, 12) for n in range(5)]
-        assert d.entries[0][0] == 1
-        assert d.entries[1][1] == 13
-        assert d.entries[2][2] == 79
+        diag = [bound([maxpool(1, 4)], n) for n in range(5)]
+        assert diag == [gamma_norm(n, 12) for n in range(5)]
+        assert diag[:3] == [1, 13, 79]
 
     def test_k2_single_output(self):
-        d = transfer.maxpool_diag(4, 1, 2)
-        assert [d.entries[n][n] for n in range(5)] == [1, 3, 4, 4, 4]
+        assert [bound([maxpool(1, 2)], n) for n in range(5)] == \
+            [1, 3, 4, 4, 4]
 
     def test_halved_constant(self):
-        full = transfer.maxpool_diag(3, 2, 3)
-        half = transfer.maxpool_diag(3, 2, 3, halved_c=True)
-        assert full.entries[1][1] == gamma_norm(1, 12)
-        assert half.entries[1][1] == gamma_norm(1, 6)
+        assert bound([maxpool(2, 3)], 1) == gamma_norm(1, 12)
+        assert bound([maxpool(2, 3)], 1, halved_c=True) == gamma_norm(1, 6)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError, match="degenerate maxout"):
-            transfer.maxpool_diag(4, 1, 1)
+            bound([maxpool(1, 1)], 4)
 
 
 class TestSkipDiag:
+    """Entry j of a skip/residual diagonal is the body's mass on unit(j)."""
+
     def test_column_norm_example(self):
-        seg = transfer.compose(transfer.b_matrix(GammaProvider("ours"), 2),
-                               transfer.m_matrix(1, 2))
-        d = transfer.skip_diag(seg)
-        assert d.entries[1][1] == 3  # l1 of column (0,3,0)
+        report = engine.evaluate([skip(dense(2))], "ours", 1)
+        assert report.per_stage[0][1] == Histogram((0, 3))  # l1 of (0,3,0)
 
     def test_identity_segment(self):
-        seg = transfer.identity(4)
-        assert transfer.skip_diag(seg).entries == transfer.identity(4).entries
+        for n0 in range(5):
+            report = engine.evaluate([skip(dense(3, relu=False))], "ours", n0)
+            assert report.per_stage[0][1] == Histogram.unit(n0)
 
     def test_residual_equals_skip(self):
         rng = random.Random(5)
-        entries = tuple(tuple(rng.randint(0, 9) for _ in range(3))
-                        for _ in range(3))
-        seg = transfer.StageTransform(3, 3, entries, "product")
-        assert transfer.residual_diag(seg).entries == \
-            transfer.skip_diag(seg).entries
+        for _ in range(10):
+            d = rng.randint(1, 5)
+            body, _ = random_stage_tree(rng, d, depth=1)
+            res = ResolvedStage("residual", d, d, body=tuple(body))
+            for n in range(d + 1):
+                assert stage_map(skip(*body), d)(Histogram.unit(n)) == \
+                    stage_map(res, d)(Histogram.unit(n))
 
     def test_dominates_segment_columns(self):
-        seg = transfer.compose(transfer.b_matrix(GammaProvider("ours"), 3),
-                               transfer.m_matrix(2, 3))
-        diag = transfer.skip_diag(seg)
-        for n in range(seg.cols):
-            e = Histogram.unit(n)
-            assert transfer.apply(seg, e).leq(transfer.apply(diag, e))
+        for n in range(3):
+            seg = engine.evaluate([dense(3)], "ours", n).per_stage[-1][1]
+            diag = engine.evaluate([skip(dense(3))], "ours", n).per_stage[-1][1]
+            assert seg.leq(diag)
 
 
 class TestComposeApply:
     def test_b2_on_plane(self):
         b = transfer.b_matrix(GammaProvider("ours"), 2)
-        out = transfer.apply(b, Histogram((0, 0, 1)))
+        out = b.apply(Histogram((0, 0, 1)))
         assert out == Histogram((1, 2, 1))
         assert out.l1() == 4
 
     def test_identity_composition(self):
-        t = transfer.b_matrix(GammaProvider("ours"), 3)
-        assert transfer.compose(transfer.identity(4), t).entries == t.entries
+        # stages that cut nothing leave every later histogram unchanged
+        plain = engine.evaluate([dense(3), dense(2)], "ours", 2).per_stage
+        padded = engine.evaluate(
+            [dense(5, relu=False), dense(3),
+             ResolvedStage("linear", 3, 3, rank=3), dense(2)],
+            "ours", 2).per_stage
+        assert [h for _, h in plain] == [padded[1][1], padded[3][1]]
 
     def test_dimension_mismatch(self):
-        a = transfer.m_matrix(2, 3)
-        b = transfer.m_matrix(4, 5)
-        with pytest.raises(transfer.DimensionMismatch, match="4x3.*6x5"):
-            transfer.compose(a, b)
-        with pytest.raises(transfer.DimensionMismatch):
-            transfer.apply(a, Histogram((1,) * 5))
+        b = transfer.b_matrix(GammaProvider("ours"), 3)
+        with pytest.raises(ValueError, match="length 5 does not fit 4x4"):
+            b.apply(Histogram((1,) * 5))
 
     def test_transforms_preserve_order(self):
         rng = random.Random(9)
-        gp = GammaProvider("ours")
-        transforms = [transfer.b_matrix(gp, 6), transfer.m_matrix(6, 3),
-                      transfer.maxpool_diag(6, 2, 2),
-                      transfer.skip_diag(transfer.b_matrix(gp, 6))]
+        transforms = [transfer.b_matrix(GammaProvider("ours"), 6).apply,
+                      stage_map(ResolvedStage("linear", 6, 3, rank=3), 6),
+                      stage_map(maxpool(2, 2), 6),
+                      stage_map(skip(dense(6)), 6)]
         for _ in range(30):
             v = rand_hist(rng, max_len=7)
             w = v + rand_hist(rng, max_len=7)  # guarantees v <= w
             assert v.leq(w)
             for t in transforms:
-                assert transfer.apply(t, v).leq(transfer.apply(t, w))
+                assert t(v).leq(t(w))
