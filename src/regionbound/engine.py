@@ -1,31 +1,36 @@
 """Bound evaluation over resolved stage sequences.
 
-Each stage, at ambient dimension d, becomes one map from histogram to
-histogram, and the bound is the mass of the input unit(n0) after all of
-them:
+Each stage, at ambient dimension d, becomes one linear map from
+histogram to histogram, and the bound is the mass of the input unit(n0)
+after all of them.  A stage map is a short list of three primitives:
+``clip(k)`` (``Histogram.clip``), a diagonal ``scale(f)`` and the ReLU
+layer's B matrix (``regionbound.transfer``):
 
-* ReLU ``dense`` with n_out units: clip to n_out, then the B matrix
-  (``regionbound.transfer``);
-* ``linear`` of rank r: clip to min(d, r, n_out);
-* ``maxpool``: scale entry n by gamma_norm(n, c), then clip to n_out;
-* ``skip``/``residual``: scale entry j by the mass of the body's maps
-  applied to unit(j), that is by the column sums of the body's matrix;
-* ``dense`` without ReLU: the identity.
+* ReLU ``dense`` with n_out units: [clip(n_out), B];
+* ``linear`` of rank r: [clip(min(d, r, n_out))];
+* ``maxpool``: [scale(gamma_norm(n, c)), clip(n_out)];
+* ``skip``/``residual``: [scale(f)], f[j] being the mass of the body's
+  maps applied to unit(j), that is the column sums of the body's matrix;
+* ``dense`` without ReLU: [], the identity.
 
-Skip and residual bodies run through the same maps as top-level stages.
-All arithmetic is exact.
+Each primitive also applies its transpose: clip(k) maps w to
+v[i] = w[min(i, k)], a scaling is its own transpose and B^T takes one dot
+product per column.  So f is 1^T M_L ... M_1, found by one transposed
+pass over the body from the all-ones vector; a nested skip is one more
+scaling.  Skip and residual bodies run through the same maps as
+top-level stages.  All arithmetic is exact.
 """
 from __future__ import annotations
 
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import transfer
 from .archspec import ResolvedStage, mlp, resolve
 from .gamma import (DEFAULT_COLUMN_CAP, GammaProvider, GammaVariant,
-                    gamma_norm)
+                    gamma_norms)
 from .histogram import Histogram
 
 
@@ -73,32 +78,71 @@ def format_ratio(ratio: Fraction, digits: int = 4) -> str:
     return f"{ds[0]}.{ds[1:]}×10^{exp}"
 
 
-Stage = Callable[[Histogram], Histogram]
+class _Clip:
+    """clip(k) on histograms of ambient dimension d."""
+
+    __slots__ = ("k", "d")
+
+    def __init__(self, k: int, d: int):
+        self.k = k
+        self.d = d
+
+    def apply(self, h: Histogram) -> Histogram:
+        return h.clip(self.k)
+
+    def transposed(self, w: list[int]) -> list[int]:
+        k = self.k
+        return [w[min(i, k)] for i in range(self.d + 1)]
 
 
-def _identity(h: Histogram) -> Histogram:
-    return h
+class _Scale:
+    """Entry n times factors[n]; factors covers every index of the input."""
+
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: list[int]):
+        self.factors = factors
+
+    def apply(self, h: Histogram) -> Histogram:
+        return Histogram([x * f for x, f in zip(h.entries, self.factors)])
+
+    def transposed(self, w: list[int]) -> list[int]:
+        return [x * f for x, f in zip(w, self.factors)]
 
 
-def _scaled(h: Histogram, factors: Sequence[int]) -> Histogram:
-    """Entry n of h times factors[n]; factors covers every index of h."""
-    return Histogram([x * f for x, f in zip(h.entries, factors)])
+class _StageMap:
+    """The primitives of one stage, applied in order."""
+
+    __slots__ = ("ops",)
+
+    def __init__(self, *ops):
+        self.ops = ops
+
+    def __call__(self, h: Histogram) -> Histogram:
+        for op in self.ops:
+            h = op.apply(h)
+        return h
+
+    def transposed(self, w: list[int]) -> list[int]:
+        for op in reversed(self.ops):
+            w = op.transposed(w)
+        return w
 
 
 def _stage_map(stage: ResolvedStage, d: int, provider: GammaProvider,
-               halved_c: bool) -> tuple[Stage, int]:
+               halved_c: bool) -> tuple[_StageMap, int]:
     """The map one stage applies at ambient dimension d, plus the ambient
     dimension afterwards."""
     if stage.kind == "dense":
         if not stage.relu:
-            return _identity, d  # linear output layer contributes no cuts
+            return _StageMap(), d  # linear output layer contributes no cuts
         n_out = stage.n_out
         b = transfer.b_matrix(provider, n_out)
-        return (lambda h: b.apply(h.clip(n_out))), n_out
+        return _StageMap(_Clip(n_out, d), b), n_out
     if stage.kind == "linear":
         # clip to the rank; embedding into n_out dimensions is a no-op
         k = min(d, stage.rank, stage.n_out)
-        return (lambda h: h.clip(k)), stage.n_out
+        return _StageMap(_Clip(k, d)), stage.n_out
     if stage.kind == "maxpool":
         # a maxout layer with n_out units of rank k cuts like
         # c = (k^2 - k) * n_out hyperplanes; halved_c takes c/2, the
@@ -109,33 +153,28 @@ def _stage_map(stage: ResolvedStage, d: int, provider: GammaProvider,
         c = (stage.k * stage.k - stage.k) * n_out
         if halved_c:
             c //= 2
-        factors = [gamma_norm(n, c) for n in range(d + 1)]
-        return (lambda h: _scaled(h, factors).clip(n_out)), n_out
+        return _StageMap(_Scale(gamma_norms(d, c)), _Clip(n_out, d)), n_out
     if stage.kind in ("skip", "residual"):
         # entry j is the number of regions the body carves out of one
         # j-dimensional region; concatenating or adding the input back
         # restores each region's dimension to j
         body, body_out = _stage_maps(stage.body, d, provider, halved_c)
-        factors = [_run(body, Histogram.unit(j)).l1() for j in range(d + 1)]
+        factors = [1] * (body_out + 1)
+        for f in reversed(body):
+            factors = f.transposed(factors)
         d_after = d + body_out if stage.kind == "skip" else d
-        return (lambda h: _scaled(h, factors)), d_after
+        return _StageMap(_Scale(factors)), d_after
     raise ValueError(f"unknown stage kind '{stage.kind}'")
 
 
 def _stage_maps(stages: Sequence[ResolvedStage], d: int,
                 provider: GammaProvider,
-                halved_c: bool) -> tuple[list[Stage], int]:
+                halved_c: bool) -> tuple[list[_StageMap], int]:
     maps = []
     for stage in stages:
         f, d = _stage_map(stage, d, provider, halved_c)
         maps.append(f)
     return maps, d
-
-
-def _run(maps: Sequence[Stage], h: Histogram) -> Histogram:
-    for f in maps:
-        h = f(h)
-    return h
 
 
 def evaluate(stages: Sequence[ResolvedStage], variant: GammaVariant | str,

@@ -28,10 +28,13 @@ from __future__ import annotations
 
 import threading
 from enum import Enum
+from typing import Callable, TypeVar
 
 from .histogram import Histogram
 
 DEFAULT_COLUMN_CAP = 4096
+
+_T = TypeVar("_T")
 
 
 class GammaVariant(str, Enum):
@@ -70,12 +73,25 @@ def binomial_row(n: int) -> tuple[int, ...]:
     return _pascal_rows[n]
 
 
+def gamma_norms(nmax: int, nprime: int) -> list[int]:
+    """[gamma_norm(n, nprime) for n = 0..nmax] in O(nmax) big-int steps.
+
+    Uses C(nprime, s+1) = C(nprime, s) * (nprime - s) // (s + 1), which is
+    exact and reaches 0 at s = nprime, so no Pascal row is built or kept.
+    """
+    if nmax < 0 or nprime < 0:
+        raise ValueError("negative arguments")
+    norms = [1]
+    term = 1
+    for s in range(nmax):
+        term = term * (nprime - s) // (s + 1)
+        norms.append(norms[-1] + term)
+    return norms
+
+
 def gamma_norm(n: int, nprime: int) -> int:
     """Total mass of gamma(n, nprime): sum_{s<=min(n,nprime)} C(nprime, s)."""
-    if n < 0 or nprime < 0:
-        raise ValueError("negative arguments")
-    row = binomial_row(nprime)
-    return sum(row[: min(n, nprime) + 1])
+    return gamma_norms(n, nprime)[-1]
 
 
 # -- seeds and closed forms ----------------------------------------------------
@@ -101,14 +117,18 @@ def ours_gamma(n: int, nprime: int) -> Histogram:
     """Closed form of gamma(n, nprime) for "ours" (see the module docstring)."""
     if nprime < 1:
         raise ValueError("no hyperplanes")
-    m, n = nprime, min(n, nprime)
+    rows = [binomial_row(j) for j in range(nprime + 1)]
+    return _ours_entry(min(n, nprime), nprime, rows)
+
+
+def _ours_entry(n: int, m: int, rows) -> Histogram:
+    """gamma(n, m) for "ours", n <= m, from Pascal rows 0..m."""
     if n == 0:
         return Histogram.unit(m)
     if n == 1:
         return first_layer_gamma(m)
     if n == m:
-        return Histogram(binomial_row(m))
-    rows = [binomial_row(j) for j in range(m + 1)]
+        return Histogram(rows[m])
     k = m - n
     entries = [0] * ((k + 1) // 2)  # s = 2i - k < 0
     if k % 2 == 0:
@@ -123,7 +143,9 @@ def ours_gamma(n: int, nprime: int) -> Histogram:
 
 
 class GammaProvider:
-    """Caches completed gamma columns for one variant, under a memory cap.
+    """Caches completed gamma columns for one variant, under a memory cap,
+    and beside each column one object built from it (the ReLU-layer B
+    matrix of ``regionbound.transfer``).
 
     Completed columns are immutable and may be read concurrently; column
     construction is serialized.
@@ -136,6 +158,7 @@ class GammaProvider:
             raise ValueError("cap must be positive")
         self.cap = cap
         self._columns: dict[int, tuple[Histogram, ...]] = {}
+        self._derived: dict[int, object] = {}
         self._lock = threading.Lock()
 
     def column(self, nprime: int) -> tuple[Histogram, ...]:
@@ -150,11 +173,31 @@ class GammaProvider:
         with self._lock:
             col = self._columns.get(nprime)
             if col is None:
-                build = (ours_gamma if self.variant is GammaVariant.OURS
-                         else serra_gamma)
-                col = tuple(build(n, nprime) for n in range(nprime + 1))
+                if self.variant is GammaVariant.OURS:
+                    rows = [binomial_row(j) for j in range(nprime + 1)]
+                    col = tuple(_ours_entry(n, nprime, rows)
+                                for n in range(nprime + 1))
+                else:
+                    col = tuple(serra_gamma(n, nprime)
+                                for n in range(nprime + 1))
                 self._columns[nprime] = col
         return col
+
+    def derived(self, nprime: int, build: Callable[[tuple[Histogram, ...]], _T]
+                ) -> _T:
+        """build(column(nprime)), built once per nprime and kept with it.
+
+        The column's cap applies; build must not call back into this
+        provider."""
+        got = self._derived.get(nprime)
+        if got is not None:
+            return got
+        col = self.column(nprime)
+        with self._lock:
+            got = self._derived.get(nprime)
+            if got is None:
+                got = self._derived[nprime] = build(col)
+        return got
 
     def gamma(self, n: int, nprime: int) -> Histogram:
         """gamma(n, nprime); for n > nprime this equals gamma(nprime, nprime)."""

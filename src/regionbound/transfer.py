@@ -7,10 +7,14 @@ needs a matrix.  For n' hyperplanes, column j of B is
 clip(gamma(j, n'), j): the pieces an n'-hyperplane cut makes of one
 j-dimensional region, none of dimension above j.  B is therefore upper
 triangular.  It is stored by columns, so applying it adds h[j] times
-column j over the non-zero entries of h only.  All entries are exact
-non-negative integers.
+column j over the non-zero entries of h only, and applying its transpose
+takes one dot product per column.  B is built once per gamma provider
+and n', and kept beside the provider's gamma column under the same lock
+and cap.  All entries are exact non-negative integers.
 """
 from __future__ import annotations
+
+from operator import mul
 
 from .gamma import GammaProvider
 from .histogram import Histogram
@@ -52,10 +56,20 @@ class BMatrix:
                     acc[i] += x * c
         return Histogram(acc)
 
+    def transposed(self, w: list[int]) -> list[int]:
+        """Exact product B^T w: entry j is the dot product of w and col j."""
+        return [sum(map(mul, w, col.entries)) for col in self.columns]
+
 
 def b_matrix(provider: GammaProvider, nprime: int) -> BMatrix:
-    """ReLU-layer matrix: column j is clip(gamma(j, nprime), j)."""
+    """ReLU-layer matrix: column j is clip(gamma(j, nprime), j).
+
+    The same object is returned for every call with this provider and
+    nprime."""
     if nprime < 1:
         raise ValueError("no hyperplanes")
-    col = provider.column(nprime)
-    return BMatrix(tuple(col[j].clip(j) for j in range(nprime + 1)))
+    return provider.derived(nprime, _build)
+
+
+def _build(col: tuple[Histogram, ...]) -> BMatrix:
+    return BMatrix(tuple(g.clip(j) for j, g in enumerate(col)))

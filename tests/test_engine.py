@@ -1,13 +1,16 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from conftest import (mlp_bound, random_mlp_spec, random_stage_tree,
                       reference_per_stage)
-from regionbound import archspec, engine
-from regionbound.gamma import gamma_norm
+from regionbound import archspec, engine, gamma
+from regionbound.archspec import ResolvedStage
+from regionbound.gamma import GammaProvider, gamma_norm
+from regionbound.histogram import Histogram
 
 
 class TestSmallBounds:
@@ -142,6 +145,88 @@ class TestMatrixReference:
             got = engine.evaluate(stages, variant, n0,
                                   halved_c=halved_c).per_stage
             assert got == reference_per_stage(stages, variant, n0, halved_c)
+
+
+def _kinds(stages, inside=()):
+    """(kind, kinds of the enclosing wrappers) for every nested stage."""
+    for st in stages:
+        yield st.kind, inside
+        yield from _kinds(st.body, inside + (st.kind,))
+
+
+class TestTransposedPass:
+    """Skip/residual factors equal the body's mass on every unit(j)."""
+
+    @pytest.mark.parametrize("halved_c", [False, True])
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_factors_match_forward_units(self, variant, halved_c):
+        rng = random.Random(71)
+        provider = GammaProvider(variant)
+        seen = []
+        for _ in range(48):
+            d = rng.randint(1, 5)
+            body, body_out = random_stage_tree(rng, d)
+            seen.extend(_kinds(body))
+            maps, _ = engine._stage_maps(body, d, provider, halved_c)
+            forward = []
+            for j in range(d + 1):
+                h = Histogram.unit(j)
+                for f in maps:
+                    h = f(h)
+                forward.append(h.l1())
+            for kind, n_out in (("skip", d + body_out), ("residual", d)):
+                stage = ResolvedStage(kind, d, n_out, body=tuple(body))
+                f, _ = engine._stage_map(stage, d, provider, halved_c)
+                assert [f(Histogram.unit(j)).l1() for j in range(d + 1)] \
+                    == forward
+        kinds = {kind for kind, _ in seen}
+        assert {"dense", "linear", "maxpool", "skip", "residual"} <= kinds
+        assert any(kind == "maxpool" and inside for kind, inside in seen)
+        assert any(kind in ("skip", "residual") and inside
+                   for kind, inside in seen)
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_stage_transpose_is_adjoint(self, variant):
+        # <w, f(h)> == <f^T(w), h> for every stage map of random trees
+        rng = random.Random(73)
+        provider = GammaProvider(variant)
+        for _ in range(30):
+            d = rng.randint(1, 5)
+            stages, _ = random_stage_tree(rng, d)
+            for stage in stages:
+                f, d_out = engine._stage_map(stage, d, provider,
+                                             rng.random() < 0.5)
+                for _ in range(3):
+                    h = [rng.randint(0, 50) for _ in range(d + 1)]
+                    w = [rng.randint(0, 50) for _ in range(d_out + 1)]
+                    fh = f(Histogram(h))
+                    v = f.transposed(w)
+                    assert len(v) == d + 1
+                    assert sum(a * b for a, b in zip(w, fh)) == \
+                        sum(a * b for a, b in zip(v, h))
+                d = d_out
+
+
+class TestMaxpoolMemory:
+    def test_large_window_count_stays_small(self, monkeypatch):
+        # c = (4^2 - 4) * 64 = 768 cut hyperplanes on a 256-dimensional
+        # input: the factors need no Pascal row of that size
+        monkeypatch.setattr(gamma, "_pascal_rows", [(1,)])
+        doc = {"input": {"channels": 1, "height": 16, "width": 16},
+               "blocks": [{"maxpool": {"window": 2}},
+                          {"dense": {"out": 1, "relu": False}}]}
+        spec = archspec.parse(doc)
+        stages = archspec.resolve(spec)
+        tracemalloc.start()
+        try:
+            report = engine.evaluate(stages, "ours", spec.input_nodes,
+                                     gamma_cap=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.bound == gamma_norm(256, 768)
+        assert peak < 4 * 2 ** 20
+        assert len(gamma._pascal_rows) < 769
 
 
 class TestCompareAndSweep:

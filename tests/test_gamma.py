@@ -82,6 +82,14 @@ class TestNorms:
             for n in range(nprime + 1):
                 assert gp.gamma(n, nprime).l1() == gamma_norm(n, nprime)
 
+    def test_norm_matches_comb(self):
+        for c in range(201):
+            expect = 0
+            for n in range(c + 2):
+                if n <= c:
+                    expect += math.comb(c, n)
+                assert gamma_norm(n, c) == expect, (n, c)
+
     def test_binomial_row(self):
         assert binomial_row(6) == (1, 6, 15, 20, 15, 6, 1)
         assert binomial_row(0) == (1,)

@@ -8,7 +8,7 @@ from conftest import (random_stage_tree, ref_b_matrix, ref_m_matrix,
                       ref_mat_vec)
 from regionbound import engine, transfer
 from regionbound.archspec import ResolvedStage
-from regionbound.gamma import GammaProvider, gamma_norm
+from regionbound.gamma import ColumnCapExceeded, GammaProvider, gamma_norm
 from regionbound.histogram import Histogram
 
 OURS_B6 = [
@@ -92,6 +92,31 @@ class TestBMatrix:
             for _ in range(10):
                 h = rand_hist(rng, max_len=nprime + 1, max_entry=10 ** 30)
                 assert b.apply(h) == Histogram(ref_mat_vec(dense_b, h))
+
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_transposed_matches_row_major(self, variant):
+        rng = random.Random(13)
+        provider = GammaProvider(variant)
+        for nprime in range(1, 13):
+            b = transfer.b_matrix(provider, nprime)
+            dense_bt = [list(col) for col in zip(*ref_b_matrix(provider,
+                                                               nprime))]
+            for _ in range(10):
+                w = [rng.randint(0, 10 ** 30) for _ in range(nprime + 1)]
+                assert b.transposed(w) == ref_mat_vec(dense_bt, w)
+
+    def test_built_once_per_provider_and_width(self):
+        p, q = GammaProvider("ours"), GammaProvider("ours")
+        assert transfer.b_matrix(p, 5) is transfer.b_matrix(p, 5)
+        assert transfer.b_matrix(p, 5) is not transfer.b_matrix(q, 5)
+        assert transfer.b_matrix(p, 4) is not transfer.b_matrix(p, 5)
+
+    def test_cap_applies(self):
+        p = GammaProvider("ours", cap=4)
+        transfer.b_matrix(p, 4)
+        with pytest.raises(ColumnCapExceeded):
+            transfer.b_matrix(p, 5)
 
 
 class TestMMatrix:
