@@ -28,13 +28,11 @@ from __future__ import annotations
 
 import threading
 from enum import Enum
-from typing import Callable, TypeVar
 
 from .histogram import Histogram
+from .transfer import BMatrix
 
 DEFAULT_COLUMN_CAP = 4096
-
-_T = TypeVar("_T")
 
 
 class GammaVariant(str, Enum):
@@ -113,16 +111,9 @@ def serra_gamma(n: int, nprime: int) -> Histogram:
     return Histogram((0,) * (nprime - n) + row[nprime - n:])
 
 
-def ours_gamma(n: int, nprime: int) -> Histogram:
-    """Closed form of gamma(n, nprime) for "ours" (see the module docstring)."""
-    if nprime < 1:
-        raise ValueError("no hyperplanes")
-    rows = [binomial_row(j) for j in range(nprime + 1)]
-    return _ours_entry(min(n, nprime), nprime, rows)
-
-
 def _ours_entry(n: int, m: int, rows) -> Histogram:
-    """gamma(n, m) for "ours", n <= m, from Pascal rows 0..m."""
+    """Closed form of gamma(n, m) for "ours", n <= m, from Pascal rows 0..m
+    (see the module docstring)."""
     if n == 0:
         return Histogram.unit(m)
     if n == 1:
@@ -144,8 +135,7 @@ def _ours_entry(n: int, m: int, rows) -> Histogram:
 
 class GammaProvider:
     """Caches completed gamma columns for one variant, under a memory cap,
-    and beside each column one object built from it (the ReLU-layer B
-    matrix of ``regionbound.transfer``).
+    and beside each column the ReLU-layer B matrix built from it.
 
     Completed columns are immutable and may be read concurrently; column
     construction is serialized.
@@ -158,7 +148,7 @@ class GammaProvider:
             raise ValueError("cap must be positive")
         self.cap = cap
         self._columns: dict[int, tuple[Histogram, ...]] = {}
-        self._derived: dict[int, object] = {}
+        self._b_matrices: dict[int, BMatrix] = {}
         self._lock = threading.Lock()
 
     def column(self, nprime: int) -> tuple[Histogram, ...]:
@@ -183,21 +173,19 @@ class GammaProvider:
                 self._columns[nprime] = col
         return col
 
-    def derived(self, nprime: int, build: Callable[[tuple[Histogram, ...]], _T]
-                ) -> _T:
-        """build(column(nprime)), built once per nprime and kept with it.
-
-        The column's cap applies; build must not call back into this
-        provider."""
-        got = self._derived.get(nprime)
-        if got is not None:
-            return got
+    def b_matrix(self, nprime: int) -> BMatrix:
+        """The cached ReLU-layer B matrix for nprime (see
+        ``regionbound.transfer``): built once from column(nprime), kept
+        beside it under the same cap, and the same object on every call."""
+        b = self._b_matrices.get(nprime)
+        if b is not None:
+            return b
         col = self.column(nprime)
         with self._lock:
-            got = self._derived.get(nprime)
-            if got is None:
-                got = self._derived[nprime] = build(col)
-        return got
+            b = self._b_matrices.get(nprime)
+            if b is None:
+                b = self._b_matrices[nprime] = BMatrix.from_gamma_column(col)
+        return b
 
     def gamma(self, n: int, nprime: int) -> Histogram:
         """gamma(n, nprime); for n > nprime this equals gamma(nprime, nprime)."""

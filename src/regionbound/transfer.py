@@ -15,9 +15,12 @@ and cap.  All entries are exact non-negative integers.
 from __future__ import annotations
 
 from operator import mul
+from typing import TYPE_CHECKING
 
-from .gamma import GammaProvider
 from .histogram import Histogram
+
+if TYPE_CHECKING:
+    from .gamma import GammaProvider
 
 
 class BMatrix:
@@ -27,6 +30,11 @@ class BMatrix:
 
     def __init__(self, columns: tuple[Histogram, ...]):
         self.columns = columns
+
+    @classmethod
+    def from_gamma_column(cls, col: tuple[Histogram, ...]) -> BMatrix:
+        """B for n' = len(col) - 1 from gamma(j, n') for j = 0..n'."""
+        return cls(tuple(g.clip(j) for j, g in enumerate(col)))
 
     @property
     def rows(self) -> int:
@@ -68,8 +76,4 @@ def b_matrix(provider: GammaProvider, nprime: int) -> BMatrix:
     nprime."""
     if nprime < 1:
         raise ValueError("no hyperplanes")
-    return provider.derived(nprime, _build)
-
-
-def _build(col: tuple[Histogram, ...]) -> BMatrix:
-    return BMatrix(tuple(g.clip(j) for j, g in enumerate(col)))
+    return provider.b_matrix(nprime)
