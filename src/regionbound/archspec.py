@@ -175,7 +175,7 @@ def parse(text: str | dict) -> NetworkSpec:
     if isinstance(text, str):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also integers past Python's digit limit
             raise ArchSpecError(f"malformed JSON: {exc}") from None
         except RecursionError:
             raise ArchSpecError("document is nested too deeply") from None

@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 user/input error, 2 resource cap exceeded.
 from __future__ import annotations
 
 import functools
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +40,7 @@ def _guarded(fn):
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except (archspec.ArchSpecError, oracle.OracleError, ValueError,
-                OSError, json.JSONDecodeError) as exc:
+                OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
     return wrapper

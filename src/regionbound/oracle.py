@@ -1,17 +1,33 @@
 """Independent ground truth for bound soundness checks.
 
-Exact region counting for 1-input networks by breakpoint propagation in
-rational arithmetic, a sampling lower bound on activation patterns for
-any input dimension, and the explicit single-layer construction that
-attains the first-layer histogram bound.
+Exact region counting for 1-input networks by breakpoint propagation, a
+sampling lower bound on activation patterns for any input dimension, and
+the explicit single-layer construction that attains the first-layer
+histogram bound.
+
+Weights and biases are ``Fraction``s, but both counters run on plain
+integers.  Each call multiplies a layer by L, the lcm of its weight and
+bias denominators, giving integer ``W·L`` and ``bias·L``.  The sweep keeps
+every unit's (slope, intercept) on every interval multiplied by one common
+scale S > 0, the product of the L's so far; the next layer's pair is
+``(Σ W·L·a, Σ W·L·b + bias·L·S)`` at scale L·S.  Because S is positive and
+the same for every interval and unit, nothing that is compared changes: a
+root is still ``Fraction(-b, a)``, the unit is active at p/q (q > 0) iff
+``a·p + b·q > 0``, a unit crosses zero inside an interval iff its signs at
+the two ends are strictly opposite, and two intervals carry equal scaled
+pairs iff they carry equal rational ones.  The sampler does the same with
+inputs drawn as integers over 10**6.  Only breakpoints stay ``Fraction``s.
 """
 from __future__ import annotations
 
 import bisect
 import json
+import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .histogram import Histogram
 
@@ -45,9 +61,13 @@ class ConcreteNet:
     def __post_init__(self):
         d = self.n0
         for i, layer in enumerate(self.layers):
-            if layer.n_in != d:
-                raise OracleError(
-                    f"layer {i} expects {layer.n_in} inputs, got {d}")
+            if not layer.weights:
+                raise OracleError(f"layer {i} has no units")
+            for r, row in enumerate(layer.weights):
+                if len(row) != d:
+                    raise OracleError(f"layer {i} row {r} has {len(row)} "
+                                      f"weights, but the layer expects {d} "
+                                      f"inputs")
             if len(layer.bias) != layer.n_out:
                 raise OracleError(f"layer {i} bias length mismatch")
             d = layer.n_out
@@ -65,6 +85,12 @@ class RegionCount:
     activation_histogram: Histogram | None = None
 
 
+# Fraction("1e999999999") would build a 400 MB integer; cap the exponent at
+# Python's default limit on the digits of a decimal integer string.
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
+_MAX_EXPONENT = 4300
+
+
 def _frac(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -72,6 +98,9 @@ def _frac(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            exp = _EXPONENT.search(value)
+            if exp and int(exp.group(1).replace("_", "")) > _MAX_EXPONENT:
+                raise OracleError(f"exponent too large in {value!r}")
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise OracleError(f"not a rational number: {value!r}") from None
@@ -84,6 +113,8 @@ def net_from_json(text: str | dict) -> ConcreteNet:
     if isinstance(text, str):
         try:
             doc = json.loads(text)
+        except ValueError as exc:  # also integers past Python's digit limit
+            raise OracleError(f"malformed JSON: {exc}") from None
         except RecursionError:
             raise OracleError("net document is nested too deeply") from None
     else:
@@ -151,6 +182,16 @@ def _split(bps, affs, new_points):
     return merged, out
 
 
+def _scaled(layer: Layer) -> tuple[int, list[tuple[int, ...]], list[int]]:
+    """(L, W·L, bias·L) with L the lcm of the layer's denominators."""
+    lcm = math.lcm(*(x.denominator for row in layer.weights for x in row),
+                   *(x.denominator for x in layer.bias))
+    weights = [tuple(x.numerator * (lcm // x.denominator) for x in row)
+               for row in layer.weights]
+    bias = [x.numerator * (lcm // x.denominator) for x in layer.bias]
+    return lcm, weights, bias
+
+
 def count_regions_1d(net: ConcreteNet,
                      domain: tuple[Fraction, Fraction] | None = None
                      ) -> RegionCount:
@@ -162,39 +203,45 @@ def count_regions_1d(net: ConcreteNet,
     if net.n0 != 1:
         raise OracleError("1-D oracle only")
     bps: list[Fraction] = []
-    # per interval, per unit of the current layer: (slope, intercept)
-    affs: list[tuple[tuple[Fraction, Fraction], ...]] = [
-        ((Fraction(1), Fraction(0)),)]
+    # per interval: (slopes, intercepts) of the current layer's units, all
+    # multiplied by the same positive scale
+    affs: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((1,), (0,))]
+    scale = 1
     first_layer_hist: Histogram | None = None
     for li, layer in enumerate(net.layers):
+        lcm, weights, bias = _scaled(layer)
+        bias = [b * scale for b in bias]
+        scale *= lcm
         affs = [
-            tuple(
-                (sum(w * a for w, (a, _) in zip(wrow, units)),
-                 sum(w * b for w, (_, b) in zip(wrow, units)) + bias)
-                for wrow, bias in zip(layer.weights, layer.bias))
-            for units in affs
+            (tuple(sum(map(mul, wrow, slopes)) for wrow in weights),
+             tuple(sum(map(mul, wrow, icepts)) + b
+                   for wrow, b in zip(weights, bias)))
+            for slopes, icepts in affs
         ]
         if layer.relu:
+            # interval i runs from ends[i] to ends[i + 1], each a projective
+            # point (p, q) standing for p/q; q = 0 is -inf or +inf.  A unit
+            # crosses zero inside an interval iff its signs at the two ends
+            # are strictly opposite (never when its slope is 0).
+            ends = [(-1, 0)] + [(x.numerator, x.denominator) for x in bps] \
+                + [(1, 0)]
             crossings = set()
-            for i, units in enumerate(affs):
-                lo = bps[i - 1] if i > 0 else None
-                hi = bps[i] if i < len(bps) else None
-                for a, b in units:
-                    if a == 0:
-                        continue
-                    root = -b / a
-                    if (lo is None or root > lo) and (hi is None or root < hi):
-                        crossings.add(root)
+            for (slopes, icepts), (pl, ql), (ph, qh) in zip(affs, ends,
+                                                           ends[1:]):
+                for a, b in zip(slopes, icepts):
+                    if (a * pl + b * ql) * (a * ph + b * qh) < 0:
+                        crossings.add(Fraction(-b, a))
             bps, affs = _split(bps, affs, crossings)
             clamped = []
             actives = []
-            for i, units in enumerate(affs):
+            for i, (slopes, icepts) in enumerate(affs):
                 rep = _representative(bps, i)
-                active = tuple(a * rep + b > 0 for a, b in units)
+                p, q = rep.numerator, rep.denominator
+                active = [a * p + b * q > 0 for a, b in zip(slopes, icepts)]
                 actives.append(sum(active))
-                clamped.append(tuple(
-                    (a, b) if on else (Fraction(0), Fraction(0))
-                    for (a, b), on in zip(units, active)))
+                clamped.append(
+                    (tuple(a if on else 0 for a, on in zip(slopes, active)),
+                     tuple(b if on else 0 for b, on in zip(icepts, active))))
             affs = clamped
             if li == 0:
                 counts = [0] * (max(actives) + 1)
@@ -229,17 +276,24 @@ def pattern_lower_bound(net: ConcreteNet, samples: int, seed: int, *,
     rng = random.Random(seed)
     lo, hi = box
     denom = 10 ** 6
+    # every sample is drawn as integers over denom; the scale of each
+    # layer's pre-activations is the same for all samples
+    layers = []
+    scale = denom
+    for layer in net.layers:
+        lcm, weights, bias = _scaled(layer)
+        layers.append((weights, [b * scale for b in bias], layer.relu))
+        scale *= lcm
     patterns = set()
     for _ in range(samples):
-        x = [Fraction(rng.randint(lo * denom, hi * denom), denom)
-             for _ in range(net.n0)]
+        x = [rng.randint(lo * denom, hi * denom) for _ in range(net.n0)]
         pattern = []
-        for layer in net.layers:
-            pre = [sum(w * xi for w, xi in zip(wrow, x)) + b
-                   for wrow, b in zip(layer.weights, layer.bias)]
-            if layer.relu:
+        for weights, bias, relu in layers:
+            pre = [sum(map(mul, wrow, x)) + b
+                   for wrow, b in zip(weights, bias)]
+            if relu:
                 pattern.append(tuple(p > 0 for p in pre))
-                x = [p if p > 0 else Fraction(0) for p in pre]
+                x = [p if p > 0 else 0 for p in pre]
             else:
                 x = pre
         patterns.add(tuple(pattern))

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from regionbound import archspec, engine, oracle
 from regionbound.gamma import (GammaProvider, GammaVariant, first_layer_gamma,
                                gamma_norm)
@@ -67,6 +69,130 @@ def random_concrete_net(rng: random.Random, n0=1, max_width=8, max_depth=3):
                            for _ in range(d)),))
     layers.append(oracle.Layer(weights, (Fraction(0),), False))
     return oracle.ConcreteNet(n0, tuple(layers))
+
+
+# -- Fraction reference for the oracle ------------------------------------------
+#
+# The exact 1-D sweep and the pattern sampler in plain Fraction arithmetic:
+# what the scaled-integer oracle must reproduce exactly.
+
+
+def count_regions_1d_by_fractions(net: oracle.ConcreteNet, domain=None
+                                  ) -> oracle.RegionCount:
+    """Reference for oracle.count_regions_1d."""
+    bps: list[Fraction] = []
+    # per interval, per unit of the current layer: (slope, intercept)
+    affs = [((Fraction(1), Fraction(0)),)]
+    first_layer_hist = None
+    for li, layer in enumerate(net.layers):
+        affs = [
+            tuple(
+                (sum(w * a for w, (a, _) in zip(wrow, units)),
+                 sum(w * b for w, (_, b) in zip(wrow, units)) + bias)
+                for wrow, bias in zip(layer.weights, layer.bias))
+            for units in affs
+        ]
+        if layer.relu:
+            crossings = set()
+            for i, units in enumerate(affs):
+                lo = bps[i - 1] if i > 0 else None
+                hi = bps[i] if i < len(bps) else None
+                for a, b in units:
+                    if a == 0:
+                        continue
+                    root = -b / a
+                    if (lo is None or root > lo) and (hi is None or root < hi):
+                        crossings.add(root)
+            bps, affs = oracle._split(bps, affs, crossings)
+            clamped = []
+            actives = []
+            for i, units in enumerate(affs):
+                rep = oracle._representative(bps, i)
+                active = tuple(a * rep + b > 0 for a, b in units)
+                actives.append(sum(active))
+                clamped.append(tuple(
+                    (a, b) if on else (Fraction(0), Fraction(0))
+                    for (a, b), on in zip(units, active)))
+            affs = clamped
+            if li == 0:
+                counts = [0] * (max(actives) + 1)
+                for s in actives:
+                    counts[s] += 1
+                first_layer_hist = Histogram(counts)
+    if domain is not None:
+        lo, hi = domain
+        keep = [i for i in range(len(bps) + 1)
+                if (i == 0 or bps[i - 1] < hi) and (i == len(bps) or bps[i] > lo)]
+        affs = [affs[i] for i in keep]
+    count = 1
+    for prev, cur in zip(affs, affs[1:]):
+        if prev != cur:
+            count += 1
+    return oracle.RegionCount(count, "sweep1d", exact=True,
+                              activation_histogram=first_layer_hist)
+
+
+def pattern_lower_bound_by_fractions(net: oracle.ConcreteNet, samples: int,
+                                     seed: int, box=(-10, 10)
+                                     ) -> oracle.RegionCount:
+    """Reference for oracle.pattern_lower_bound."""
+    rng = random.Random(seed)
+    lo, hi = box
+    denom = 10 ** 6
+    patterns = set()
+    for _ in range(samples):
+        x = [Fraction(rng.randint(lo * denom, hi * denom), denom)
+             for _ in range(net.n0)]
+        pattern = []
+        for layer in net.layers:
+            pre = [sum(w * xi for w, xi in zip(wrow, x)) + b
+                   for wrow, b in zip(layer.weights, layer.bias)]
+            if layer.relu:
+                pattern.append(tuple(p > 0 for p in pre))
+                x = [p if p > 0 else Fraction(0) for p in pre]
+            else:
+                x = pre
+        patterns.add(tuple(pattern))
+    return oracle.RegionCount(len(patterns), "pattern_sample", exact=False)
+
+
+# -- fuzzing documents -----------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=12)
+
+
+@st.composite
+def one_site_broken(draw, docs, replacements=json_values):
+    """A document from ``docs``; in half of the draws one value anywhere in
+    it is replaced (by a draw from ``replacements``) or one key renamed."""
+    doc = draw(docs)
+    sites = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            items = list(node.items())
+        elif isinstance(node, list):
+            items = list(enumerate(node))
+        else:
+            return
+        for key, child in items:
+            sites.append((node, key))
+            walk(child)
+
+    walk(doc)
+    if not sites or draw(st.booleans()):
+        return doc
+    node, key = draw(st.sampled_from(sites))
+    if isinstance(node, dict) and draw(st.booleans()):
+        node[draw(st.text(max_size=8))] = node.pop(key)
+    else:
+        node[key] = draw(replacements)
+    return doc
 
 
 def flatten(stages) -> tuple[archspec.ResolvedStage, ...]:

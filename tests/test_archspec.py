@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import flatten
+from conftest import flatten, one_site_broken
 from regionbound import archspec
 from regionbound.archspec import ArchSpecError
 
@@ -62,6 +64,12 @@ class TestParse:
         with pytest.raises(ArchSpecError, match="malformed JSON"):
             archspec.parse("{not json")
 
+    def test_integer_past_digit_limit(self):
+        # json.loads raises a plain ValueError for a 5000-digit integer
+        with pytest.raises(ArchSpecError, match="malformed JSON"):
+            archspec.parse('{"input": {"nodes": 1' + "1" * 5000
+                           + '}, "blocks": []}')
+
     def test_even_kernel_rejected(self):
         doc = {"input": {"channels": 1, "height": 8, "width": 8},
                "blocks": [{"conv": {"out_channels": 2, "kernel": 2,
@@ -69,6 +77,52 @@ class TestParse:
                                     "relu": True}}]}
         with pytest.raises(ArchSpecError, match="kernel"):
             archspec.parse(doc)
+
+
+leaf_blocks = st.one_of(
+    st.fixed_dictionaries({"dense": st.fixed_dictionaries(
+        {"out": st.integers(1, 40), "relu": st.booleans()})}),
+    st.fixed_dictionaries({"conv": st.fixed_dictionaries(
+        {"out_channels": st.integers(1, 8),
+         "kernel": st.sampled_from([1, 3, 5]), "stride": st.integers(1, 3),
+         "padding": st.integers(0, 2), "relu": st.booleans()})}),
+    *(st.fixed_dictionaries({kind: st.fixed_dictionaries(
+        {field: st.integers(2, 4)})})
+      for kind, field in (("avgpool", "factor"), ("unpool", "factor"),
+                          ("maxpool", "window"))))
+block_lists = st.recursive(
+    st.lists(leaf_blocks, min_size=1, max_size=3),
+    lambda children: st.lists(
+        leaf_blocks | st.builds(lambda kind, body: {kind: {"body": body}},
+                                st.sampled_from(["skip", "residual"]),
+                                children),
+        min_size=1, max_size=3),
+    max_leaves=6)
+arch_docs = one_site_broken(st.fixed_dictionaries({
+    "input": st.fixed_dictionaries({"nodes": st.integers(1, 40)})
+    | st.fixed_dictionaries({"channels": st.integers(1, 3),
+                             "height": st.integers(1, 16),
+                             "width": st.integers(1, 16)}),
+    "blocks": block_lists}))
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(arch_docs)
+    def test_documents_parse_or_raise_archspec_error(self, doc):
+        for arg in (doc, json.dumps(doc)):
+            try:
+                archspec.parse(arg)
+            except ArchSpecError:
+                pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(max_size=40))
+    def test_text_parses_or_raises_archspec_error(self, text):
+        try:
+            archspec.parse(text)
+        except ArchSpecError:
+            pass
 
 
 class TestResolve:

@@ -195,6 +195,10 @@ class TestOracle:
         {"input": 1, "layers": [{"weights": [["1/0"]], "bias": [1],
                                  "relu": True}]},
         {"input": True, "layers": []},
+        {"input": 1, "layers": [
+            {"weights": [["1"], ["1", "2"]], "bias": ["0", "1"],
+             "relu": True},
+            {"weights": [["1", "1"]], "bias": ["0"], "relu": False}]},
     ])
     def test_malformed_net_is_a_clean_error(self, runner, tmp_path, doc):
         path = tmp_path / "net.json"

@@ -1,10 +1,15 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import mlp_bound, random_concrete_net
+from conftest import (count_regions_1d_by_fractions, json_values, mlp_bound,
+                      one_site_broken, pattern_lower_bound_by_fractions,
+                      random_concrete_net)
 from regionbound import oracle
 from regionbound.gamma import GammaProvider
 from regionbound.histogram import Histogram
@@ -117,6 +122,34 @@ class TestPatternSampling:
         assert a.count == b.count
 
 
+rationals = (st.integers(-100, 100) | st.fractions(max_denominator=20).map(str)
+             | st.sampled_from(["1e3", "-2.5", " 3/4 "]))
+
+
+@st.composite
+def well_formed_nets(draw):
+    n0 = draw(st.integers(1, 3))
+    layers = []
+    d = n0
+    for _ in range(draw(st.integers(0, 3))):
+        width = draw(st.integers(1, 3))
+        layers.append({
+            "weights": draw(st.lists(st.lists(rationals, min_size=d,
+                                              max_size=d),
+                                     min_size=width, max_size=width)),
+            "bias": draw(st.lists(rationals, min_size=width, max_size=width)),
+            "relu": draw(st.booleans())})
+        d = width
+    return {"input": n0, "layers": layers}
+
+
+# a broken value may also be a weight row of any length or a bad rational
+net_docs = one_site_broken(
+    well_formed_nets(),
+    json_values | st.lists(rationals, max_size=4)
+    | st.sampled_from(["1/0", "x", "", "1e99999", "1e-99999", 1.5]))
+
+
 class TestNetJson:
     def test_roundtrip(self):
         rng = random.Random(37)
@@ -143,6 +176,7 @@ class TestNetJson:
         ("weights", [[True]], "integers or rational strings"),
         ("weights", [["x/2"]], "not a rational number"),
         ("bias", 1, "bias must be a list"),
+        ("weights", [["1e5000"]], "exponent too large"),
     ])
     def test_malformed_field_rejected(self, field, value, match):
         layer = {"weights": [["1"]], "bias": ["0"], "relu": True}
@@ -157,3 +191,101 @@ class TestNetJson:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(OracleError, match="expects"):
             ConcreteNet(2, (Layer(((F(1),),), (F(0),), True),))
+
+    @pytest.mark.parametrize("layers, match", [
+        ([{"weights": [["1"], ["1", "2"]], "bias": ["0", "1"], "relu": True}],
+         "layer 0 row 1 has 2 weights, but the layer expects 1 inputs"),
+        ([{"weights": [["1", "2"], ["1"]], "bias": ["0", "1"], "relu": True}],
+         "layer 0 row 0 has 2 weights"),
+        ([{"weights": [["1"], ["2"]], "bias": ["0", "1"], "relu": True},
+          {"weights": [["1", "1"], ["1"]], "bias": ["0", "0"], "relu": True}],
+         "layer 1 row 1 has 1 weights, but the layer expects 2 inputs"),
+        ([{"weights": [], "bias": [], "relu": True}], "layer 0 has no units"),
+    ])
+    def test_ragged_weights_rejected(self, layers, match):
+        with pytest.raises(OracleError, match=match):
+            net_from_json({"input": 1, "layers": layers})
+
+    @pytest.mark.parametrize("text", [
+        '{"input": 1, "layers": [}',
+        '{"input": 1' + "1" * 5000 + ', "layers": []}',
+    ], ids=["syntax", "long_integer"])
+    def test_unreadable_json_rejected(self, text):
+        with pytest.raises(OracleError, match="malformed JSON"):
+            net_from_json(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(net_docs)
+    def test_fuzzed_documents(self, doc):
+        for arg in (doc, json.dumps(doc)):
+            try:
+                net = net_from_json(arg)
+            except OracleError:
+                continue
+            assert net.n0 == doc["input"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(max_size=40))
+    def test_fuzzed_text(self, text):
+        try:
+            net_from_json(text)
+        except OracleError:
+            pass
+
+
+def oracle_case_net(rng: random.Random, n0: int, seen: Counter) -> ConcreteNet:
+    """Random rational net that takes every branch of the scaled oracle.
+
+    Hidden layers may be linear, may have an all-zero weight row (a unit of
+    slope 0) and may repeat a unit, scaled by a positive factor, so that two
+    units share a breakpoint.  ``seen`` counts the cases drawn.
+    """
+    def rational():
+        return F(rng.randint(-6, 6), rng.randint(1, 6))
+
+    layers = []
+    d = n0
+    for li in range(rng.randint(1, 3)):
+        width = rng.randint(1, 5)
+        rows = [tuple(rational() for _ in range(d)) for _ in range(width)]
+        bias = [rational() for _ in range(width)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(width)] = (F(0),) * d
+            seen["zero row"] += 1
+        if rng.random() < 0.3:
+            j = rng.randrange(width)
+            k = F(rng.randint(1, 3), rng.randint(1, 2))
+            rows.append(tuple(k * w for w in rows[j]))
+            bias.append(k * bias[j])
+            seen["duplicate unit"] += 1
+        relu = rng.random() < 0.75
+        if not relu:
+            seen["linear hidden layer"] += 1
+        layers.append(Layer(tuple(rows), tuple(bias), relu))
+        d = len(rows)
+    layers.append(Layer((tuple(rational() for _ in range(d)),), (rational(),),
+                        False))
+    return ConcreteNet(n0, tuple(layers))
+
+
+class TestFractionReference:
+    """The scaled-integer oracle against the plain Fraction sweep/sampler."""
+
+    def test_matches_reference(self):
+        rng = random.Random(41)
+        seen = Counter()
+        for i in range(480):
+            n0 = 1 if i < 320 else 2 + i % 2
+            seen[f"n0={n0}"] += 1
+            net = oracle_case_net(rng, n0, seen)
+            seed = rng.randrange(100)
+            assert pattern_lower_bound(net, 30, seed) == \
+                pattern_lower_bound_by_fractions(net, 30, seed)
+            if n0 != 1:
+                continue
+            assert count_regions_1d(net) == count_regions_1d_by_fractions(net)
+            lo = F(rng.randint(-40, 40), rng.randint(1, 4))
+            domain = (lo, lo + F(rng.randint(1, 40), rng.randint(1, 4)))
+            assert count_regions_1d(net, domain) == \
+                count_regions_1d_by_fractions(net, domain)
+        assert min(seen.values()) >= 60, seen
