@@ -3,7 +3,7 @@
 from .archspec import NetworkSpec, ResolvedStage, builtin, parse, resolve
 from .engine import BoundReport, compare, evaluate, sweep
 from .gamma import GammaProvider, GammaVariant, gamma_norm
-from .histogram import Histogram, max_hist
+from .histogram import Histogram
 from .oracle import (ConcreteNet, RegionCount, build_gamma1n_witness,
                      count_regions_1d, pattern_lower_bound)
 
@@ -11,8 +11,8 @@ __all__ = [
     "BoundReport", "ConcreteNet", "GammaProvider", "GammaVariant",
     "Histogram", "NetworkSpec", "RegionCount", "ResolvedStage",
     "build_gamma1n_witness", "builtin", "compare", "count_regions_1d",
-    "evaluate", "gamma_norm", "max_hist", "parse", "pattern_lower_bound",
-    "resolve", "sweep",
+    "evaluate", "gamma_norm", "parse", "pattern_lower_bound", "resolve",
+    "sweep",
 ]
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ bounds hold over all weight values, so no parameters appear here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class ArchSpecError(Exception):
@@ -67,10 +67,7 @@ class NetworkSpec:
 
     @property
     def input_nodes(self) -> int:
-        if isinstance(self.input_shape, int):
-            return self.input_shape
-        c, h, w = self.input_shape
-        return c * h * w
+        return _nodes(self.input_shape)
 
 
 @dataclass(frozen=True)
@@ -211,23 +208,13 @@ def parse(text: str | dict) -> NetworkSpec:
 
 
 def render(spec: NetworkSpec) -> dict:
-    """Inverse of parse (on valid documents)."""
+    """Inverse of parse (on valid documents).  A block's class name, lower
+    case, is its JSON kind and its fields are the JSON fields."""
     def block_doc(b: Block) -> dict:
-        if isinstance(b, Dense):
-            return {"dense": {"out": b.out, "relu": b.relu}}
-        if isinstance(b, Conv):
-            return {"conv": {"out_channels": b.out_channels,
-                             "kernel": b.kernel, "stride": b.stride,
-                             "padding": b.padding, "relu": b.relu}}
-        if isinstance(b, AvgPool):
-            return {"avgpool": {"factor": b.factor}}
-        if isinstance(b, Unpool):
-            return {"unpool": {"factor": b.factor}}
-        if isinstance(b, MaxPool):
-            return {"maxpool": {"window": b.window}}
-        if isinstance(b, Skip):
-            return {"skip": {"body": [block_doc(x) for x in b.body]}}
-        return {"residual": {"body": [block_doc(x) for x in b.body]}}
+        params = {f.name: getattr(b, f.name) for f in fields(b)}
+        if isinstance(b, (Skip, Residual)):
+            params["body"] = [block_doc(x) for x in b.body]
+        return {type(b).__name__.lower(): params}
 
     if isinstance(spec.input_shape, int):
         inp: dict = {"nodes": spec.input_shape}

@@ -48,7 +48,8 @@ def _guarded(fn):
 
 @click.group()
 @click.option("--gamma-cap", type=int, default=DEFAULT_COLUMN_CAP,
-              show_default=True, help="Largest gamma column kept in memory.")
+              show_default=True,
+              help="Largest n' whose gamma column (and so B) is built.")
 @click.option("--mantissa-digits", type=int, default=4, show_default=True,
               help="Significant digits in scientific renderings.")
 @click.option("--maxout-c-halved", is_flag=True,
@@ -72,6 +73,20 @@ def _gamma_lines(provider: GammaProvider, nprime: int) -> str:
     return "\n".join(h.render(pad_to=nprime + 1) for h in col) + "\n"
 
 
+def _per_variant(cfg: CliConfig, variant: str, name: str, dims: str,
+                 text) -> str:
+    """text(provider) for each selected variant; with "both", each part
+    starts with the line "# name[variant]dims"."""
+    parts = []
+    variants = ["ours", "serra"] if variant == "both" else [variant]
+    for v in variants:
+        provider = GammaProvider(GammaVariant(v), cap=cfg.gamma_cap)
+        if variant == "both":
+            parts.append(f"# {name}[{v}]{dims}\n")
+        parts.append(text(provider))
+    return "".join(parts)
+
+
 @main.command("gamma")
 @_variant_opt
 @click.option("--nprime", type=int, required=True)
@@ -80,14 +95,8 @@ def _gamma_lines(provider: GammaProvider, nprime: int) -> str:
 @_guarded
 def cmd_gamma(cfg: CliConfig, variant, nprime, output):
     """Dump the gamma table column(s) for n' hyperplanes, one histogram per line."""
-    parts = []
-    variants = ["ours", "serra"] if variant == "both" else [variant]
-    for v in variants:
-        provider = GammaProvider(GammaVariant(v), cap=cfg.gamma_cap)
-        if variant == "both":
-            parts.append(f"# gamma[{v}][n][{nprime}]\n")
-        parts.append(_gamma_lines(provider, nprime))
-    _emit("".join(parts), output)
+    _emit(_per_variant(cfg, variant, "gamma", f"[n][{nprime}]",
+                       lambda p: _gamma_lines(p, nprime)), output)
 
 
 @main.command("bmatrix")
@@ -98,14 +107,9 @@ def cmd_gamma(cfg: CliConfig, variant, nprime, output):
 @_guarded
 def cmd_bmatrix(cfg: CliConfig, variant, nprime, output):
     """Dump the ReLU-layer B matrix for n' hyperplanes (appendix row layout)."""
-    parts = []
-    variants = ["ours", "serra"] if variant == "both" else [variant]
-    for v in variants:
-        provider = GammaProvider(GammaVariant(v), cap=cfg.gamma_cap)
-        if variant == "both":
-            parts.append(f"# B[{v}][{nprime}]\n")
-        parts.append(transfer.b_matrix(provider, nprime).render() + "\n")
-    _emit("".join(parts), output)
+    _emit(_per_variant(cfg, variant, "B", f"[{nprime}]",
+                       lambda p: transfer.b_matrix(p, nprime).render() + "\n"),
+          output)
 
 
 def _load_arch(path: str):
@@ -124,8 +128,9 @@ def _load_arch(path: str):
 def cmd_bound(cfg: CliConfig, arch_file, variant, output):
     """Exact region bound for an architecture file."""
     spec, stages = _load_arch(arch_file)
+    provider = GammaProvider(variant, cap=cfg.gamma_cap)
     report = engine.evaluate(stages, variant, spec.input_nodes,
-                             gamma_cap=cfg.gamma_cap, halved_c=cfg.halved_c,
+                             provider=provider, halved_c=cfg.halved_c,
                              digits=cfg.mantissa_digits)
     _emit(f"{report.bound}\n{report.scientific}\n", output)
 
@@ -194,8 +199,9 @@ def cmd_oracle(cfg: CliConfig, net_file, method, samples, seed, output):
     blocks = tuple(archspec.Dense(layer.n_out, layer.relu)
                    for layer in net.layers)
     stages = archspec.resolve(archspec.NetworkSpec(net.n0, blocks))
+    provider = GammaProvider(GammaVariant.OURS, cap=cfg.gamma_cap)
     bound = engine.evaluate(stages, GammaVariant.OURS, net.n0,
-                            gamma_cap=cfg.gamma_cap).bound
+                            provider=provider).bound
     verdict = "OK" if result.count <= bound else "VIOLATION"
     _emit(f"count={result.count} bound={bound} {verdict}\n", output)
     if verdict != "OK":
@@ -220,13 +226,13 @@ def cmd_demo(cfg: CliConfig, name, output):
     spec = archspec.builtin(name)
     plain = archspec.strip_wrappers(spec)
     label_with, label_without = _DEMO_PAIRS[name]
+    provider = GammaProvider(GammaVariant.OURS, cap=cfg.gamma_cap)
     lines = []
     bounds = []
     for label, s in ((label_with, spec), (label_without, plain)):
         stages = archspec.resolve(s)
         report = engine.evaluate(stages, GammaVariant.OURS, s.input_nodes,
-                                 gamma_cap=cfg.gamma_cap,
-                                 halved_c=cfg.halved_c,
+                                 provider=provider, halved_c=cfg.halved_c,
                                  digits=cfg.mantissa_digits)
         bounds.append(report.bound)
         lines.append(f"{label}: {report.bound} ({report.scientific})")

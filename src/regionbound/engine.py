@@ -7,18 +7,20 @@ after all of them.  A stage map is a short list of three primitives:
 layer's B matrix (``regionbound.transfer``):
 
 * ReLU ``dense`` with n_out units: [clip(n_out), B];
-* ``linear`` of rank r: [clip(min(d, r, n_out))];
+* ``linear`` of rank r, and ``dense`` without ReLU (rank n_out):
+  [clip(min(d, r, n_out))];
 * ``maxpool``: [scale(gamma_norm(n, c)), clip(n_out)];
 * ``skip``/``residual``: [scale(f)], f[j] being the mass of the body's
-  maps applied to unit(j), that is the column sums of the body's matrix;
-* ``dense`` without ReLU: [], the identity.
+  maps applied to unit(j), that is the column sums of the body's matrix.
 
 Each primitive also applies its transpose: clip(k) maps w to
 v[i] = w[min(i, k)], a scaling is its own transpose and B^T takes one dot
 product per column.  So f is 1^T M_L ... M_1, found by one transposed
 pass over the body from the all-ones vector; a nested skip is one more
 scaling.  Skip and residual bodies run through the same maps as
-top-level stages.  All arithmetic is exact.
+top-level stages.  B comes from the gamma provider, which builds it once
+per width and keeps it; a provider passed to repeated ``evaluate`` calls
+shares its B matrices.  All arithmetic is exact.
 """
 from __future__ import annotations
 
@@ -51,12 +53,7 @@ def scientific(n: int, digits: int = 4) -> str:
     with decimal.localcontext() as ctx:
         ctx.prec = digits
         d = +decimal.Decimal(n)
-    sign, mantissa_digits, exponent = d.as_tuple()
-    exp = exponent + len(mantissa_digits) - 1
-    ds = "".join(str(x) for x in mantissa_digits).ljust(digits, "0")
-    if digits == 1:
-        return f"{ds}×10^{exp}"
-    return f"{ds[0]}.{ds[1:]}×10^{exp}"
+    return _mantissa(d, digits)
 
 
 def format_ratio(ratio: Fraction, digits: int = 4) -> str:
@@ -71,8 +68,13 @@ def format_ratio(ratio: Fraction, digits: int = 4) -> str:
             d = decimal.Decimal(ratio.numerator) / decimal.Decimal(
                 ratio.denominator)
         return str(d)
-    sign, mantissa_digits, exponent = d.as_tuple()
-    ds = "".join(str(x) for x in mantissa_digits).ljust(digits, "0")
+    return _mantissa(d, digits)
+
+
+def _mantissa(d: decimal.Decimal, digits: int) -> str:
+    """A Decimal already rounded to ``digits`` digits as "m.mmm×10^e"."""
+    ds = "".join(str(x) for x in d.as_tuple().digits).ljust(digits, "0")
+    exp = d.adjusted()
     if digits == 1:
         return f"{ds}×10^{exp}"
     return f"{ds[0]}.{ds[1:]}×10^{exp}"
@@ -133,16 +135,15 @@ def _stage_map(stage: ResolvedStage, d: int, provider: GammaProvider,
                halved_c: bool) -> tuple[_StageMap, int]:
     """The map one stage applies at ambient dimension d, plus the ambient
     dimension afterwards."""
-    if stage.kind == "dense":
-        if not stage.relu:
-            return _StageMap(), d  # linear output layer contributes no cuts
+    if stage.kind == "dense" and stage.relu:
         n_out = stage.n_out
         b = transfer.b_matrix(provider, n_out)
         return _StageMap(_Clip(n_out, d), b), n_out
-    if stage.kind == "linear":
-        # clip to the rank; embedding into n_out dimensions is a no-op
-        k = min(d, stage.rank, stage.n_out)
-        return _StageMap(_Clip(k, d)), stage.n_out
+    if stage.kind in ("dense", "linear"):
+        # clip to the rank (at most n_out without a ReLU, which makes no
+        # cuts); embedding into n_out dimensions is a no-op
+        rank = stage.rank if stage.kind == "linear" else stage.n_out
+        return _StageMap(_Clip(min(d, rank, stage.n_out), d)), stage.n_out
     if stage.kind == "maxpool":
         # a maxout layer with n_out units of rank k cuts like
         # c = (k^2 - k) * n_out hyperplanes; halved_c takes c/2, the
@@ -179,12 +180,14 @@ def _stage_maps(stages: Sequence[ResolvedStage], d: int,
 
 def evaluate(stages: Sequence[ResolvedStage], variant: GammaVariant | str,
              n0: int, *, provider: GammaProvider | None = None,
-             gamma_cap: int = DEFAULT_COLUMN_CAP, halved_c: bool = False,
-             digits: int = 4) -> BoundReport:
-    """Exact upper bound on the number of linear regions of the network."""
+             halved_c: bool = False, digits: int = 4) -> BoundReport:
+    """Exact upper bound on the number of linear regions of the network.
+
+    ``provider`` supplies the B matrices, under its own column cap; by
+    default a fresh one with the default cap."""
     variant = GammaVariant(variant)
     if provider is None:
-        provider = GammaProvider(variant, cap=gamma_cap)
+        provider = GammaProvider(variant)
     elif provider.variant is not variant:
         raise ValueError("provider variant does not match requested variant")
     maps, _ = _stage_maps(stages, n0, provider, halved_c)
@@ -202,10 +205,10 @@ def compare(stages: Sequence[ResolvedStage], n0: int, *,
             gamma_cap: int = DEFAULT_COLUMN_CAP, halved_c: bool = False,
             digits: int = 4) -> tuple[BoundReport, BoundReport, str]:
     """Bounds for both variants plus the exact serra/ours ratio."""
-    ours = evaluate(stages, GammaVariant.OURS, n0, gamma_cap=gamma_cap,
-                    halved_c=halved_c, digits=digits)
-    serra = evaluate(stages, GammaVariant.SERRA, n0, gamma_cap=gamma_cap,
-                     halved_c=halved_c, digits=digits)
+    ours, serra = (evaluate(stages, v, n0,
+                            provider=GammaProvider(v, cap=gamma_cap),
+                            halved_c=halved_c, digits=digits)
+                   for v in (GammaVariant.OURS, GammaVariant.SERRA))
     ratio = Fraction(serra.bound, ours.bound)
     return ours, serra, format_ratio(ratio, digits)
 

@@ -16,13 +16,13 @@ k = m - n, entry i is
 * C(n-2+s, n-2) + 2*C(n-2+s, n-1) for i < k, where s = 2i - k,
   and 0 when s < 0.
 
-This solves the recursion gamma(n, m) = gamma(n-1, m-1) +
-down_move(gamma(n, m-1)): along its lattice paths i - (m - n) is fixed,
+This solves the recursion gamma(n, m) = gamma(n-1, m-1) + gamma(n, m-1)
+shifted up one index: along its lattice paths i - (m - n) is fixed,
 paths with i < k end on the n=1 seed, and the hockey-stick identity sums
 them.  An "ours" column therefore costs O(nprime^2) big-int additions.
 A column of either variant holds about nprime^2 entries of up to nprime
 bits, so its memory grows as nprime^3 bits; hence the provider's column
-cap.
+cap.  The provider keeps no column, only the B matrix built from it.
 """
 from __future__ import annotations
 
@@ -134,11 +134,11 @@ def _ours_entry(n: int, m: int, rows) -> Histogram:
 
 
 class GammaProvider:
-    """Caches completed gamma columns for one variant, under a memory cap,
-    and beside each column the ReLU-layer B matrix built from it.
+    """Builds gamma columns for one variant under a column cap, and caches
+    the ReLU-layer B matrix of each width.
 
-    Completed columns are immutable and may be read concurrently; column
-    construction is serialized.
+    A column is built afresh on every call and not kept: the engine reads
+    only B, which is built once per nprime under the provider's lock.
     """
 
     def __init__(self, variant: GammaVariant | str = GammaVariant.OURS,
@@ -147,7 +147,6 @@ class GammaProvider:
         if cap < 1:
             raise ValueError("cap must be positive")
         self.cap = cap
-        self._columns: dict[int, tuple[Histogram, ...]] = {}
         self._b_matrices: dict[int, BMatrix] = {}
         self._lock = threading.Lock()
 
@@ -157,38 +156,22 @@ class GammaProvider:
             raise ValueError("no hyperplanes")
         if nprime > self.cap:
             raise ColumnCapExceeded(nprime, self.cap)
-        col = self._columns.get(nprime)
-        if col is not None:
-            return col
-        with self._lock:
-            col = self._columns.get(nprime)
-            if col is None:
-                if self.variant is GammaVariant.OURS:
-                    rows = [binomial_row(j) for j in range(nprime + 1)]
-                    col = tuple(_ours_entry(n, nprime, rows)
-                                for n in range(nprime + 1))
-                else:
-                    col = tuple(serra_gamma(n, nprime)
-                                for n in range(nprime + 1))
-                self._columns[nprime] = col
-        return col
+        if self.variant is GammaVariant.OURS:
+            rows = [binomial_row(j) for j in range(nprime + 1)]
+            return tuple(_ours_entry(n, nprime, rows)
+                         for n in range(nprime + 1))
+        return tuple(serra_gamma(n, nprime) for n in range(nprime + 1))
 
     def b_matrix(self, nprime: int) -> BMatrix:
         """The cached ReLU-layer B matrix for nprime (see
-        ``regionbound.transfer``): built once from column(nprime), kept
-        beside it under the same cap, and the same object on every call."""
+        ``regionbound.transfer``): built once from column(nprime), under
+        the same cap, and the same object on every call."""
         b = self._b_matrices.get(nprime)
         if b is not None:
             return b
-        col = self.column(nprime)
         with self._lock:
             b = self._b_matrices.get(nprime)
             if b is None:
-                b = self._b_matrices[nprime] = BMatrix.from_gamma_column(col)
+                b = self._b_matrices[nprime] = BMatrix.from_gamma_column(
+                    self.column(nprime))
         return b
-
-    def gamma(self, n: int, nprime: int) -> Histogram:
-        """gamma(n, nprime); for n > nprime this equals gamma(nprime, nprime)."""
-        if n < 0:
-            raise ValueError("negative dimension")
-        return self.column(nprime)[min(n, nprime)]

@@ -36,17 +36,6 @@ class Histogram:
             raise ValueError("index must be non-negative")
         return cls((0,) * n + (1,))
 
-    @classmethod
-    def parse(cls, text: str) -> "Histogram":
-        """Parse the canonical "(a,b,c)" rendering."""
-        s = text.strip()
-        if not (s.startswith("(") and s.endswith(")")):
-            raise ValueError(f"not a histogram literal: {text!r}")
-        body = s[1:-1].strip().rstrip(",")
-        if not body:
-            return cls()
-        return cls(int(p) for p in body.split(","))
-
     # -- container protocol -------------------------------------------------
 
     def __len__(self) -> int:
@@ -80,23 +69,6 @@ class Histogram:
         """Sum of entries at indices >= j."""
         return sum(self.entries[j:])
 
-    def leq(self, other: "Histogram") -> bool:
-        """Tail-sum order: every tail sum of self <= the same tail of other."""
-        sv = 0
-        sw = 0
-        n = max(len(self.entries), len(other.entries))
-        # accumulate tails from the right; check every J
-        for j in range(n - 1, -1, -1):
-            sv += self[j]
-            sw += other[j]
-            if sv > sw:
-                return False
-        return True
-
-    def __add__(self, other: "Histogram") -> "Histogram":
-        n = max(len(self.entries), len(other.entries))
-        return Histogram(self[i] + other[i] for i in range(n))
-
     def clip(self, istar: int) -> "Histogram":
         """Move all mass at indices >= istar down onto index istar."""
         if istar < 0:
@@ -104,10 +76,6 @@ class Histogram:
         if len(self.entries) <= istar + 1:
             return self
         return Histogram(self.entries[:istar] + (self.tail(istar),))
-
-    def down_move(self) -> "Histogram":
-        """Shift every entry one index up; index 0 becomes 0."""
-        return Histogram((0,) + self.entries)
 
     # -- rendering -----------------------------------------------------------
 
@@ -121,17 +89,3 @@ class Histogram:
             es += [0] * (pad_to - len(es))
         return "(" + ",".join(str(e) for e in es) + ")"
 
-
-def max_hist(vs: Iterable[Histogram]) -> Histogram:
-    """Least upper bound of a non-empty collection under the tail-sum order."""
-    hs = list(vs)
-    if not hs:
-        raise ValueError("empty max")
-    n = max(len(h) for h in hs)
-    tails = [0] * (n + 1)  # tails[j] = max over inputs of tail sum from j
-    acc = [0] * len(hs)
-    for j in range(n - 1, -1, -1):
-        for i, h in enumerate(hs):
-            acc[i] += h[j]
-        tails[j] = max(acc)
-    return Histogram(tails[j] - tails[j + 1] for j in range(n))

@@ -46,10 +46,6 @@ class Layer:
     def n_out(self) -> int:
         return len(self.weights)
 
-    @property
-    def n_in(self) -> int:
-        return len(self.weights[0]) if self.weights else 0
-
 
 @dataclass(frozen=True)
 class ConcreteNet:
@@ -71,10 +67,6 @@ class ConcreteNet:
             if len(layer.bias) != layer.n_out:
                 raise OracleError(f"layer {i} bias length mismatch")
             d = layer.n_out
-
-    @property
-    def widths(self) -> tuple[int, ...]:
-        return tuple(layer.n_out for layer in self.layers)
 
 
 @dataclass(frozen=True)
@@ -142,18 +134,6 @@ def net_from_json(text: str | dict) -> ConcreteNet:
             raise OracleError(f"layer {i}: relu must be a boolean")
         layers.append(Layer(weights, bias, ldoc["relu"]))
     return ConcreteNet(n0, tuple(layers))
-
-
-def net_to_json(net: ConcreteNet) -> dict:
-    return {
-        "input": net.n0,
-        "layers": [
-            {"weights": [[str(x) for x in row] for row in layer.weights],
-             "bias": [str(x) for x in layer.bias],
-             "relu": layer.relu}
-            for layer in net.layers
-        ],
-    }
 
 
 # -- exact 1-D sweep ------------------------------------------------------------

@@ -9,8 +9,9 @@ j-dimensional region, none of dimension above j.  B is therefore upper
 triangular.  It is stored by columns, so applying it adds h[j] times
 column j over the non-zero entries of h only, and applying its transpose
 takes one dot product per column.  B is built once per gamma provider
-and n', and kept beside the provider's gamma column under the same lock
-and cap.  All entries are exact non-negative integers.
+and n' from a gamma column that is then dropped; the provider keeps
+only B, under its lock and column cap.  All entries are exact
+non-negative integers.
 """
 from __future__ import annotations
 
@@ -43,9 +44,6 @@ class BMatrix:
     @property
     def cols(self) -> int:
         return len(self.columns)
-
-    def column(self, j: int) -> Histogram:
-        return self.columns[j]
 
     def render(self) -> str:
         """Rows of space-separated decimals (appendix matrix layout)."""

@@ -9,6 +9,82 @@ from regionbound.gamma import (GammaProvider, GammaVariant, first_layer_gamma,
 from regionbound.histogram import Histogram
 
 
+# -- histogram algebra and accessors that only tests use -----------------------
+
+
+def parse_histogram(text: str) -> Histogram:
+    """Parse the canonical "(a,b,c)" rendering."""
+    s = text.strip()
+    if not (s.startswith("(") and s.endswith(")")):
+        raise ValueError(f"not a histogram literal: {text!r}")
+    body = s[1:-1].strip().rstrip(",")
+    if not body:
+        return Histogram()
+    return Histogram(int(p) for p in body.split(","))
+
+
+def leq(v: Histogram, w: Histogram) -> bool:
+    """Tail-sum order: every tail sum of v <= the same tail of w."""
+    sv = 0
+    sw = 0
+    n = max(len(v.entries), len(w.entries))
+    # accumulate tails from the right; check every J
+    for j in range(n - 1, -1, -1):
+        sv += v[j]
+        sw += w[j]
+        if sv > sw:
+            return False
+    return True
+
+
+def hist_add(v: Histogram, w: Histogram) -> Histogram:
+    n = max(len(v.entries), len(w.entries))
+    return Histogram(v[i] + w[i] for i in range(n))
+
+
+def down_move(v: Histogram) -> Histogram:
+    """Shift every entry one index up; index 0 becomes 0."""
+    return Histogram((0,) + v.entries)
+
+
+def max_hist(vs) -> Histogram:
+    """Least upper bound of a non-empty collection under the tail-sum order."""
+    hs = list(vs)
+    if not hs:
+        raise ValueError("empty max")
+    n = max(len(h) for h in hs)
+    tails = [0] * (n + 1)  # tails[j] = max over inputs of tail sum from j
+    acc = [0] * len(hs)
+    for j in range(n - 1, -1, -1):
+        for i, h in enumerate(hs):
+            acc[i] += h[j]
+        tails[j] = max(acc)
+    return Histogram(tails[j] - tails[j + 1] for j in range(n))
+
+
+def gamma_entry(provider: GammaProvider, n: int, nprime: int) -> Histogram:
+    """gamma(n, nprime); for n > nprime this equals gamma(nprime, nprime)."""
+    if n < 0:
+        raise ValueError("negative dimension")
+    return provider.column(nprime)[min(n, nprime)]
+
+
+def net_to_json(net: oracle.ConcreteNet) -> dict:
+    return {
+        "input": net.n0,
+        "layers": [
+            {"weights": [[str(x) for x in row] for row in layer.weights],
+             "bias": [str(x) for x in layer.bias],
+             "relu": layer.relu}
+            for layer in net.layers
+        ],
+    }
+
+
+def widths(net: oracle.ConcreteNet) -> tuple[int, ...]:
+    return tuple(layer.n_out for layer in net.layers)
+
+
 def serra_first_layer_gamma(n: int) -> Histogram:
     """Serra seed for one input dimension: (0,...,0,n,1)."""
     return Histogram((0,) * (n - 1) + (n, 1))
@@ -29,9 +105,9 @@ def columns_by_recursion(variant: GammaVariant, nmax: int):
     for m in range(2, nmax + 1):
         nxt = [Histogram.unit(m), seed1(m)]
         for n in range(2, m):
-            nxt.append(col[n - 1] + col[n].down_move())
+            nxt.append(hist_add(col[n - 1], down_move(col[n])))
         # gamma(m, m-1) equals gamma(m-1, m-1) by the n > n' rule
-        nxt.append(col[m - 1] + col[m - 1].down_move())
+        nxt.append(hist_add(col[m - 1], down_move(col[m - 1])))
         col = tuple(nxt)
         yield col
 
@@ -50,19 +126,23 @@ def mlp_bound(n0, widths, variant="ours"):
     return engine.evaluate(archspec.resolve(spec), variant, n0).bound
 
 
+def random_layer(rng: random.Random, n_in: int, n_out: int, relu: bool):
+    weights = tuple(
+        tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 5))
+              for _ in range(n_in))
+        for _ in range(n_out))
+    bias = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 5))
+                 for _ in range(n_out))
+    return oracle.Layer(weights, bias, relu)
+
+
 def random_concrete_net(rng: random.Random, n0=1, max_width=8, max_depth=3):
     depth = rng.randint(1, max_depth)
     widths = [rng.randint(1, max_width) for _ in range(depth)]
     layers = []
     d = n0
     for w in widths:
-        weights = tuple(
-            tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 5))
-                  for _ in range(d))
-            for _ in range(w))
-        bias = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 5))
-                     for _ in range(w))
-        layers.append(oracle.Layer(weights, bias, True))
+        layers.append(random_layer(rng, d, w, True))
         d = w
     # linear readout
     weights = tuple((tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 5))
@@ -241,7 +321,8 @@ def ref_m_matrix(n, nprime):
 
 def ref_b_matrix(provider, nprime):
     """Row-major B: column j is clip(gamma(j, nprime), j)."""
-    cols = [provider.gamma(j, nprime).clip(j) for j in range(nprime + 1)]
+    col = provider.column(nprime)
+    cols = [col[j].clip(j) for j in range(nprime + 1)]
     return [[c[i] for c in cols] for i in range(nprime + 1)]
 
 
@@ -251,13 +332,13 @@ def ref_diag(values):
 
 
 def _ref_factors(stage, d, provider, halved_c):
-    if stage.kind == "dense":
-        if not stage.relu:
-            return [], d
+    if stage.kind == "dense" and stage.relu:
         return [ref_m_matrix(d, stage.n_out),
                 ref_b_matrix(provider, stage.n_out)], stage.n_out
-    if stage.kind == "linear":
-        k = min(d, stage.rank, stage.n_out)
+    if stage.kind in ("dense", "linear"):
+        # a dense layer without ReLU is linear of rank at most n_out
+        rank = stage.rank if stage.kind == "linear" else stage.n_out
+        k = min(d, rank, stage.n_out)
         return [ref_m_matrix(d, k), ref_m_matrix(k, stage.n_out)], stage.n_out
     if stage.kind == "maxpool":
         c = (stage.k * stage.k - stage.k) * stage.n_out

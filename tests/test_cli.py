@@ -3,10 +3,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from conftest import gamma_entry, net_to_json, parse_histogram
 from regionbound import archspec, oracle, transfer
 from regionbound.cli import main
 from regionbound.gamma import GammaProvider
-from regionbound.histogram import Histogram
 
 
 @pytest.fixture
@@ -40,8 +40,8 @@ class TestGamma:
         ours_lines = [l for l in ours_part.splitlines()
                       if not l.startswith("#")]
         gp = GammaProvider("ours")
-        assert [Histogram.parse(l) for l in ours_lines] == \
-            [gp.gamma(n, 6) for n in range(7)]
+        assert [parse_histogram(l) for l in ours_lines] == \
+            [gamma_entry(gp, n, 6) for n in range(7)]
         assert "(0,0,4,16,15,6,1)" in ours_part
         assert "(0,0,0,0,15,6,1)" in serra_part
 
@@ -156,7 +156,7 @@ class TestOracle:
     def test_witness_ok(self, runner, tmp_path):
         net = oracle.build_gamma1n_witness(4)
         path = tmp_path / "net.json"
-        path.write_text(json.dumps(oracle.net_to_json(net)))
+        path.write_text(json.dumps(net_to_json(net)))
         res = runner.invoke(main, ["oracle", str(path)])
         assert res.exit_code == 0
         assert res.output == "count=5 bound=5 OK\n"
@@ -164,7 +164,7 @@ class TestOracle:
     def test_pattern_method(self, runner, tmp_path):
         net = oracle.build_gamma1n_witness(3)
         path = tmp_path / "net.json"
-        path.write_text(json.dumps(oracle.net_to_json(net)))
+        path.write_text(json.dumps(net_to_json(net)))
         res = runner.invoke(main, ["oracle", str(path), "--method", "pattern",
                                    "--samples", "200", "--seed", "3"])
         assert res.exit_code == 0

@@ -207,6 +207,30 @@ class TestTransposedPass:
                 d = d_out
 
 
+class TestLinearDense:
+    """A dense layer without ReLU is a linear map of rank at most n_out."""
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_inner_linear_layer_clips(self, variant):
+        # input 10 -> dense 1 (linear) -> dense 20 -> dense 1: the ReLU
+        # layer sees a line, which 20 breakpoints cut into 21 pieces
+        blocks = (archspec.Dense(1, False), archspec.Dense(20, True),
+                  archspec.Dense(1, False))
+        stages = archspec.resolve(archspec.NetworkSpec(10, blocks))
+        assert engine.evaluate(stages, variant, 10).bound == 21
+
+    def test_ambient_dimension_is_n_out(self):
+        provider = GammaProvider("ours")
+        f, d = engine._stage_map(ResolvedStage("dense", 4, 2), 4, provider,
+                                 False)
+        assert d == 2
+        assert f(Histogram.unit(4)) == Histogram.unit(2)
+        f, d = engine._stage_map(ResolvedStage("dense", 2, 5), 2, provider,
+                                 False)
+        assert d == 5
+        assert f(Histogram((3, 1, 2))) == Histogram((3, 1, 2))
+
+
 class TestMaxpoolMemory:
     def test_large_window_count_stays_small(self, monkeypatch):
         # c = (4^2 - 4) * 64 = 768 cut hyperplanes on a 256-dimensional
@@ -220,7 +244,7 @@ class TestMaxpoolMemory:
         tracemalloc.start()
         try:
             report = engine.evaluate(stages, "ours", spec.input_nodes,
-                                     gamma_cap=8)
+                                     provider=GammaProvider("ours", cap=8))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (count_regions_1d_by_fractions, json_values, mlp_bound,
-                      one_site_broken, pattern_lower_bound_by_fractions,
-                      random_concrete_net)
-from regionbound import oracle
+from conftest import (count_regions_1d_by_fractions, gamma_entry,
+                      json_values, mlp_bound, net_to_json, one_site_broken,
+                      pattern_lower_bound_by_fractions, random_concrete_net,
+                      random_layer, widths)
+from regionbound import archspec, engine, oracle
 from regionbound.gamma import GammaProvider
 from regionbound.histogram import Histogram
 from regionbound.oracle import (ConcreteNet, Layer, OracleError,
                                 build_gamma1n_witness, count_regions_1d,
-                                net_from_json, net_to_json,
-                                pattern_lower_bound)
+                                net_from_json, pattern_lower_bound)
 
 F = Fraction
 
@@ -58,7 +58,7 @@ class TestSweep1D:
         best = 0
         for _ in range(60):
             net = random_concrete_net(rng, max_width=2, max_depth=2)
-            if net.widths[:-1] != (2, 1):
+            if widths(net)[:-1] != (2, 1):
                 continue
             best = max(best, count_regions_1d(net).count)
         assert best <= mlp_bound(1, [2, 1]) == 6
@@ -84,6 +84,52 @@ class TestSweep1D:
                 count_regions_1d(scaled).count
 
 
+def net_bound(net):
+    """The "ours" bound of the architecture of a concrete net."""
+    blocks = tuple(archspec.Dense(layer.n_out, layer.relu)
+                   for layer in net.layers)
+    stages = archspec.resolve(archspec.NetworkSpec(net.n0, blocks))
+    return engine.evaluate(stages, "ours", net.n0).bound
+
+
+def line_witness(n0, units):
+    """input n0 -> dense 1 (linear, x_0) -> ``units`` ReLUs with
+    breakpoints spread over (-10, 10) -> dense 1 (linear, all weights 1)."""
+    project = Layer(((F(1),) + (F(0),) * (n0 - 1),), (F(0),), False)
+    points = [F(-10) + F(20 * j + 10, units) for j in range(units)]
+    relus = Layer(tuple((F(1),) for _ in points),
+                  tuple(-p for p in points), True)
+    readout = Layer(((F(1),) * units,), (F(0),), False)
+    return ConcreteNet(n0, (project, relus, readout))
+
+
+class TestInnerLinearLayer:
+    """Nets whose inner layers include a dense layer without ReLU."""
+
+    def test_exact_counts_within_bound(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            sizes = [rng.randint(1, 6), rng.randint(1, 3), rng.randint(1, 8)]
+            layers, d = [], 1
+            for w, relu in zip(sizes, (True, False, True)):
+                layers.append(random_layer(rng, d, w, relu))
+                d = w
+            layers.append(random_layer(rng, d, 1, False))
+            net = ConcreteNet(1, tuple(layers))
+            assert count_regions_1d(net).count <= net_bound(net)
+
+    def test_witness_meets_bound(self):
+        net = line_witness(1, 20)
+        assert count_regions_1d(net).count == net_bound(net) == 21
+
+    def test_pattern_count_of_ten_input_example(self):
+        # input 10 -> dense 1 (linear) -> dense 20 -> dense 1
+        net = line_witness(10, 20)
+        count = pattern_lower_bound(net, 2000, seed=5).count
+        assert count <= net_bound(net) == 21
+        assert count == 21
+
+
 class TestWitness:
     def test_published_histograms(self):
         gp = GammaProvider("ours")
@@ -91,7 +137,7 @@ class TestWitness:
         for n, expect in cases.items():
             rc = count_regions_1d(build_gamma1n_witness(n))
             assert rc.activation_histogram == Histogram(expect)
-            assert rc.activation_histogram == gp.gamma(1, n)
+            assert rc.activation_histogram == gamma_entry(gp, 1, n)
 
     def test_achieves_full_count(self):
         for n in range(1, 13):

@@ -1,12 +1,16 @@
 """Stage transforms: the B matrix, and the clips and diagonal scalings the
 engine applies for rank-limited, max-pooling and skip/residual stages."""
+import gc
 import random
+import sys
+import threading
+import tracemalloc
 
 import pytest
 
-from conftest import (random_stage_tree, ref_b_matrix, ref_m_matrix,
-                      ref_mat_vec)
-from regionbound import engine, transfer
+from conftest import (hist_add, leq, random_stage_tree, ref_b_matrix,
+                      ref_m_matrix, ref_mat_vec)
+from regionbound import engine, gamma, transfer
 from regionbound.archspec import ResolvedStage
 from regionbound.gamma import ColumnCapExceeded, GammaProvider, gamma_norm
 from regionbound.histogram import Histogram
@@ -72,14 +76,14 @@ class TestBMatrix:
     def test_b2_columns(self):
         b = transfer.b_matrix(GammaProvider("ours"), 2)
         assert (b.rows, b.cols) == (3, 3)
-        assert b.column(0) == Histogram((1, 0, 0))
-        assert b.column(1) == Histogram((0, 3, 0))
-        assert b.column(2) == Histogram((1, 2, 1))
+        assert b.columns[0] == Histogram((1, 0, 0))
+        assert b.columns[1] == Histogram((0, 3, 0))
+        assert b.columns[2] == Histogram((1, 2, 1))
 
     def test_columns_monotone(self):
         b = transfer.b_matrix(GammaProvider("ours"), 7)
         for j in range(7):
-            assert b.column(j).leq(b.column(j + 1))
+            assert leq(b.columns[j], b.columns[j + 1])
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_apply_matches_row_major(self, variant):
@@ -111,6 +115,47 @@ class TestBMatrix:
         assert transfer.b_matrix(p, 5) is transfer.b_matrix(p, 5)
         assert transfer.b_matrix(p, 5) is not transfer.b_matrix(q, 5)
         assert transfer.b_matrix(p, 4) is not transfer.b_matrix(p, 5)
+
+    def test_built_once_across_threads(self):
+        p = GammaProvider("ours")
+        seen = [[] for _ in range(4)]
+
+        def work(out):
+            for nprime in range(1, 25):
+                out.append(transfer.b_matrix(p, nprime))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(out,))
+                       for out in seen]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for out in seen:
+            assert len(out) == 24
+            assert all(a is b for a, b in zip(out, seen[0]))
+
+    def test_provider_keeps_only_b(self):
+        # the n' = 256 "ours" column (about 1.5 MiB) is dropped once B
+        # (about 0.5 MiB) is built from it; Pascal rows are shared, so
+        # they are built before measuring
+        gamma.binomial_row(256)
+        p = GammaProvider("ours")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            b = transfer.b_matrix(p, 256)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2 ** 20
+        assert transfer.b_matrix(p, 256) is b
 
     def test_cap_applies(self):
         p = GammaProvider("ours", cap=4)
@@ -193,7 +238,7 @@ class TestSkipDiag:
         for n in range(3):
             seg = engine.evaluate([dense(3)], "ours", n).per_stage[-1][1]
             diag = engine.evaluate([skip(dense(3))], "ours", n).per_stage[-1][1]
-            assert seg.leq(diag)
+            assert leq(seg, diag)
 
 
 class TestComposeApply:
@@ -225,7 +270,7 @@ class TestComposeApply:
                       stage_map(skip(dense(6)), 6)]
         for _ in range(30):
             v = rand_hist(rng, max_len=7)
-            w = v + rand_hist(rng, max_len=7)  # guarantees v <= w
-            assert v.leq(w)
+            w = hist_add(v, rand_hist(rng, max_len=7))  # guarantees v <= w
+            assert leq(v, w)
             for t in transforms:
-                assert t(v).leq(t(w))
+                assert leq(t(v), t(w))
