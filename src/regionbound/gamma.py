@@ -22,12 +22,21 @@ paths with i < k end on the n=1 seed, and the hockey-stick identity sums
 them.  An "ours" column therefore costs O(nprime^2) big-int additions.
 A column of either variant holds about nprime^2 entries of up to nprime
 bits, so its memory grows as nprime^3 bits; hence the provider's column
-cap.  The provider keeps no column, only the B matrix built from it.
+cap.  Only the CLI ``gamma`` command builds whole columns.
+
+The engine needs only the ReLU-layer B matrix, whose off-diagonal
+entries these closed forms make C(nprime, i) on a suffix of each row,
+plus a band of about nprime^2/12 entries for "ours" (see
+``regionbound.transfer``).  The provider builds B from those binomials
+directly, in O(nprime) big-int steps for "serra" and O(nprime^2) for
+"ours", without a column or a Pascal row, and keeps only B.
 """
 from __future__ import annotations
 
 import threading
 from enum import Enum
+from math import comb
+from operator import add
 
 from .histogram import Histogram
 from .transfer import BMatrix
@@ -133,12 +142,53 @@ def _ours_entry(n: int, m: int, rows) -> Histogram:
     return Histogram(entries)
 
 
+def _b_matrix(nprime: int, ours: bool) -> BMatrix:
+    """B for nprime hyperplanes from its row structure (see
+    ``regionbound.transfer``), built from binomials with no gamma column.
+
+    The binomial row is the difference of ``gamma_norms``.  Each "ours"
+    band row starts from one ``math.comb`` and steps
+    C(a+2, b+1) = C(a, b)*(a+1)*(a+2) / ((b+1)*(a-b+1)) exactly.
+    """
+    n = nprime
+    norms = gamma_norms(n, n)  # norms[j] = gamma_norm(j, n)
+    binom = [1] + [b - a for a, b in zip(norms, norms[1:])]
+    off = [0] * (n + 1)  # off-diagonal sum of each column
+    band: list[tuple[int, tuple[int, ...]]] = []
+    if ours:
+        band.append((n, (1,)))
+        off[n] = 1
+        for i in range(1, (n + 1) // 2):
+            lo = max(i + 1, n - 2 * i)
+            # entry j is C(a, j-2) + 2*C(a, j-1) = t*(2a-j+3)/(j-1), with
+            # a = 2i+2j-n-2 and t = C(a, j-2)
+            a = 2 * (i + lo) - n - 2
+            t = comb(a, lo - 2)
+            row = []
+            for j in range(lo, n - i + 1):
+                row.append(t * (2 * a - j + 3) // (j - 1))
+                t = t * ((a + 1) * (a + 2)) // ((j - 1) * (a - j + 3))
+                a += 2
+            hi = n - i + 1
+            off[lo:hi] = map(add, off[lo:hi], row)
+            band.append((lo, tuple(row)))
+    shift = 1 if ours else 0
+    for j in range(1, n + 1):
+        first = n + shift - j  # first row of column j's binomial part
+        if first < j:
+            off[j] += norms[j - 1] - (norms[first - 1] if first > 0 else 0)
+    diag = [g - o for g, o in zip(norms, off)]
+    return BMatrix(diag, binom, shift, band)
+
+
 class GammaProvider:
     """Builds gamma columns for one variant under a column cap, and caches
     the ReLU-layer B matrix of each width.
 
-    A column is built afresh on every call and not kept: the engine reads
-    only B, which is built once per nprime under the provider's lock.
+    A column is built afresh on every call and not kept; only the CLI
+    ``gamma`` command asks for one.  The engine reads only B, which is
+    built from binomials, with no gamma column and no Pascal row, once
+    per nprime under the provider's lock and column cap.
     """
 
     def __init__(self, variant: GammaVariant | str = GammaVariant.OURS,
@@ -150,12 +200,15 @@ class GammaProvider:
         self._b_matrices: dict[int, BMatrix] = {}
         self._lock = threading.Lock()
 
-    def column(self, nprime: int) -> tuple[Histogram, ...]:
-        """All gamma(n, nprime) for n = 0..nprime."""
+    def _check(self, nprime: int) -> None:
         if nprime < 1:
             raise ValueError("no hyperplanes")
         if nprime > self.cap:
             raise ColumnCapExceeded(nprime, self.cap)
+
+    def column(self, nprime: int) -> tuple[Histogram, ...]:
+        """All gamma(n, nprime) for n = 0..nprime."""
+        self._check(nprime)
         if self.variant is GammaVariant.OURS:
             rows = [binomial_row(j) for j in range(nprime + 1)]
             return tuple(_ours_entry(n, nprime, rows)
@@ -164,14 +217,15 @@ class GammaProvider:
 
     def b_matrix(self, nprime: int) -> BMatrix:
         """The cached ReLU-layer B matrix for nprime (see
-        ``regionbound.transfer``): built once from column(nprime), under
-        the same cap, and the same object on every call."""
+        ``regionbound.transfer``): built once, under the column cap, and
+        the same object on every call."""
         b = self._b_matrices.get(nprime)
         if b is not None:
             return b
+        self._check(nprime)
         with self._lock:
             b = self._b_matrices.get(nprime)
             if b is None:
-                b = self._b_matrices[nprime] = BMatrix.from_gamma_column(
-                    self.column(nprime))
+                b = self._b_matrices[nprime] = _b_matrix(
+                    nprime, self.variant is GammaVariant.OURS)
         return b

@@ -118,6 +118,17 @@ def net_from_json(text: str | dict) -> ConcreteNet:
         raise OracleError("input must be a positive integer")
     if not isinstance(doc["layers"], list):
         raise OracleError("layers must be a list")
+    # a weight string repeated in the document is parsed once
+    parsed: dict[str, Fraction] = {}
+
+    def frac(value) -> Fraction:
+        if not isinstance(value, str):
+            return _frac(value)
+        f = parsed.get(value)
+        if f is None:
+            f = parsed[value] = _frac(value)
+        return f
+
     layers = []
     for i, ldoc in enumerate(doc["layers"]):
         if not isinstance(ldoc, dict) or set(ldoc) != {"weights", "bias", "relu"}:
@@ -128,8 +139,8 @@ def net_from_json(text: str | dict) -> ConcreteNet:
             raise OracleError(f"layer {i}: weights must be a list of rows")
         if not isinstance(bias, list):
             raise OracleError(f"layer {i}: bias must be a list")
-        weights = tuple(tuple(_frac(x) for x in row) for row in rows)
-        bias = tuple(_frac(x) for x in bias)
+        weights = tuple(tuple(frac(x) for x in row) for row in rows)
+        bias = tuple(frac(x) for x in bias)
         if not isinstance(ldoc["relu"], bool):
             raise OracleError(f"layer {i}: relu must be a boolean")
         layers.append(Layer(weights, bias, ldoc["relu"]))

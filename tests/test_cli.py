@@ -75,6 +75,15 @@ class TestBMatrix:
         want = transfer.b_matrix(GammaProvider("ours"), 4).render() + "\n"
         assert res.output == want
 
+    def test_cap_exceeded_exits_two(self, runner):
+        res = runner.invoke(main, ["--gamma-cap", "4", "bmatrix",
+                                   "--nprime", "5"])
+        assert res.exit_code == 2
+        assert "n'=5 exceeds cap 4" in res.stderr
+        res = runner.invoke(main, ["--gamma-cap", "4", "bmatrix",
+                                   "--nprime", "4"])
+        assert res.exit_code == 0
+
 
 class TestBound:
     def test_tiny_mlp(self, runner, tmp_path):

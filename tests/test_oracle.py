@@ -252,6 +252,37 @@ class TestNetJson:
         with pytest.raises(OracleError, match=match):
             net_from_json({"input": 1, "layers": layers})
 
+    @pytest.mark.parametrize("layers, match", [
+        # a bad string seen before is rejected again, not read from a cache
+        ([{"weights": [["x/2"]], "bias": ["x/2"], "relu": True}],
+         "not a rational number: 'x/2'"),
+        ([{"weights": [["1/2"], ["1e5000"]], "bias": ["1/2", "1e5000"],
+           "relu": True}], "exponent too large"),
+        # a string seen before does not make a bool or a float acceptable
+        ([{"weights": [["1"], [True]], "bias": ["1", "1"], "relu": True}],
+         "integers or rational strings"),
+        ([{"weights": [["1/2"], [0.5]], "bias": ["1/2", "1/2"],
+           "relu": True}], "integers or rational strings"),
+        # repeated good strings keep the shape checks of every layer and row
+        ([{"weights": [["1/2"], ["1/2"]], "bias": ["1/2", "1/2"],
+           "relu": True},
+          {"weights": [["1/2", "1/2"], ["1/2"]], "bias": ["1/2", "1/2"],
+           "relu": True}],
+         "layer 1 row 1 has 1 weights, but the layer expects 2 inputs"),
+    ])
+    def test_repeated_values_rejected(self, layers, match):
+        with pytest.raises(OracleError, match=match):
+            net_from_json({"input": 1, "layers": layers})
+
+    def test_repeated_strings_share_one_value(self):
+        net = net_from_json({"input": 1, "layers": [
+            {"weights": [["3/6"], ["-1/3"]], "bias": ["3/6", "1"],
+             "relu": True},
+            {"weights": [["-1/3", "3/6"]], "bias": ["1"], "relu": False}]})
+        assert net.layers[0].weights == ((F(1, 2),), (F(-1, 3),))
+        assert net.layers[1].weights == ((F(-1, 3), F(1, 2)),)
+        assert net.layers[0].bias == (F(1, 2), F(1))
+
     @pytest.mark.parametrize("text", [
         '{"input": 1, "layers": [}',
         '{"input": 1' + "1" * 5000 + ', "layers": []}',

@@ -110,6 +110,46 @@ class TestBMatrix:
                 w = [rng.randint(0, 10 ** 30) for _ in range(nprime + 1)]
                 assert b.transposed(w) == ref_mat_vec(dense_bt, w)
 
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_entries_match_reference(self, variant):
+        for nprime in [*range(1, 131), 300]:
+            b = transfer.b_matrix(GammaProvider(variant), nprime)
+            dense_b = ref_b_matrix(GammaProvider(variant), nprime)
+            assert rendered_rows(b) == [tuple(row) for row in dense_b]
+            assert b.columns == tuple(Histogram(col) for col in zip(*dense_b))
+
+    def test_band_lies_where_the_closed_form_leaves_binomials(self):
+        for nprime in range(1, 131):
+            assert transfer.b_matrix(GammaProvider("serra"), nprime).band \
+                == []
+            b = transfer.b_matrix(GammaProvider("ours"), nprime)
+            assert b.band[0] == (nprime, (1,))
+            for i, (lo, g) in enumerate(b.band):
+                assert max(i + 1, nprime - 2 * i) == lo
+                assert lo + len(g) - 1 == nprime - i
+            assert sum(len(g) for _, g in b.band) <= nprime ** 2 // 12 + nprime
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_products_on_truncated_inputs(self, variant):
+        rng = random.Random(17)
+        provider = GammaProvider(variant)
+
+        def draw(length):
+            return [0 if rng.random() < 0.2
+                    else rng.randint(10 ** 60 - 10 ** 9, 10 ** 60)
+                    for _ in range(length)]
+
+        for nprime in [*range(1, 33), 47, 64, 97]:
+            b = transfer.b_matrix(provider, nprime)
+            dense_b = ref_b_matrix(provider, nprime)
+            dense_bt = [list(col) for col in zip(*dense_b)]
+            for _ in range(6):
+                h = Histogram(draw(rng.randint(0, nprime)))
+                assert len(h) < nprime + 1
+                assert b.apply(h) == Histogram(ref_mat_vec(dense_b, h))
+                w = draw(rng.randint(0, nprime))
+                assert b.transposed(w) == ref_mat_vec(dense_bt, w)
+
     def test_built_once_per_provider_and_width(self):
         p, q = GammaProvider("ours"), GammaProvider("ours")
         assert transfer.b_matrix(p, 5) is transfer.b_matrix(p, 5)
@@ -141,9 +181,9 @@ class TestBMatrix:
             assert all(a is b for a, b in zip(out, seen[0]))
 
     def test_provider_keeps_only_b(self):
-        # the n' = 256 "ours" column (about 1.5 MiB) is dropped once B
-        # (about 0.5 MiB) is built from it; Pascal rows are shared, so
-        # they are built before measuring
+        # B is built without a gamma column (which would take about
+        # 1.5 MiB); Pascal rows are shared, so they are built before
+        # measuring, although building B reads none
         gamma.binomial_row(256)
         p = GammaProvider("ours")
         gc.collect()
@@ -156,6 +196,31 @@ class TestBMatrix:
             tracemalloc.stop()
         assert held < 2 ** 20
         assert transfer.b_matrix(p, 256) is b
+
+    def test_serra_provider_holds_two_rows(self):
+        # diagonal and binomial row, about 85 kB at n' = 512; the dense
+        # triangle took about 1.1 MiB
+        p = GammaProvider("serra")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            b = transfer.b_matrix(p, 512)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 0.1 * 2 ** 20
+        assert transfer.b_matrix(p, 512) is b
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_engine_builds_no_pascal_row(self, variant):
+        built = len(gamma._pascal_rows)
+        width = built + 3
+        stages = [dense(width), skip(dense(width)), maxpool(width, 4),
+                  dense(1, relu=False)]
+        report = engine.evaluate(stages, variant, 4)
+        assert report.bound > 1
+        assert len(gamma._pascal_rows) == built
 
     def test_cap_applies(self):
         p = GammaProvider("ours", cap=4)
