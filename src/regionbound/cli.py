@@ -162,6 +162,8 @@ def _parse_int_list(text: str) -> list[int]:
             out.extend(range(int(lo), int(hi) + 1))
         elif part:
             out.append(int(part))
+    if not out:
+        raise ValueError(f"no integers in '{text}'")
     return out
 
 

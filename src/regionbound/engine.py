@@ -1,26 +1,29 @@
 """Bound evaluation over resolved stage sequences.
 
-Each stage, at ambient dimension d, becomes one linear map from
-histogram to histogram, and the bound is the mass of the input unit(n0)
-after all of them.  A stage map is a short list of three primitives:
+Each stage becomes one linear map from histogram to histogram, and the
+bound is the mass of the input unit(n0) after all of them.  Maps are
+built at d_eff = min(n0, every clip so far), the largest index at which
+the histogram can hold mass; the ambient dimension never changes a bound
+and is not tracked.  A stage map is a short list of three primitives:
 ``clip(k)`` (``Histogram.clip``), a diagonal ``scale(f)`` and the ReLU
 layer's B matrix (``regionbound.transfer``):
 
 * ReLU ``dense`` with n_out units: [clip(n_out), B];
 * ``linear`` of rank r, and ``dense`` without ReLU (rank n_out):
-  [clip(min(d, r, n_out))];
+  [clip(min(d_eff, r, n_out))];
 * ``maxpool``: [scale(gamma_norm(n, c)), clip(n_out)];
 * ``skip``/``residual``: [scale(f)], f[j] being the mass of the body's
-  maps applied to unit(j), that is the column sums of the body's matrix.
+  maps applied to unit(j), the column sums of the body's matrix; both
+  keep d_eff, because a scaling moves no mass.
 
-Each primitive also applies its transpose: clip(k) maps w to
-v[i] = w[min(i, k)], a scaling is its own transpose and B^T takes one dot
-product per column.  So f is 1^T M_L ... M_1, found by one transposed
-pass over the body from the all-ones vector; a nested skip is one more
-scaling.  Skip and residual bodies run through the same maps as
-top-level stages.  B comes from the gamma provider, which builds it once
-per width and keeps it; a provider passed to repeated ``evaluate`` calls
-shares its B matrices.  All arithmetic is exact.
+Each primitive also applies its transpose on d_eff + 1 entries: clip(k)
+maps w to v[i] = w[min(i, k)], a scaling is its own transpose and B^T
+takes one dot product per column.  So f is 1^T M_L ... M_1, found by one
+transposed pass over the body from the all-ones vector; a nested skip is
+one more scaling.  Bodies run through the same maps as top-level stages.
+B comes from the gamma provider, which builds it once per width and
+keeps it; a provider passed to repeated ``evaluate`` calls shares its B
+matrices.  All arithmetic is exact.
 """
 from __future__ import annotations
 
@@ -81,20 +84,20 @@ def _mantissa(d: decimal.Decimal, digits: int) -> str:
 
 
 class _Clip:
-    """clip(k) on histograms of ambient dimension d."""
+    """clip(k) on histograms with mass at indices up to e."""
 
-    __slots__ = ("k", "d")
+    __slots__ = ("k", "e")
 
-    def __init__(self, k: int, d: int):
+    def __init__(self, k: int, e: int):
         self.k = k
-        self.d = d
+        self.e = e
 
     def apply(self, h: Histogram) -> Histogram:
         return h.clip(self.k)
 
     def transposed(self, w: list[int]) -> list[int]:
-        k = self.k
-        return [w[min(i, k)] for i in range(self.d + 1)]
+        k, e = self.k, self.e
+        return w[:e + 1] if k >= e else w[:k] + [w[k]] * (e + 1 - k)
 
 
 class _Scale:
@@ -131,19 +134,19 @@ class _StageMap:
         return w
 
 
-def _stage_map(stage: ResolvedStage, d: int, provider: GammaProvider,
+def _stage_map(stage: ResolvedStage, e: int, provider: GammaProvider,
                halved_c: bool) -> tuple[_StageMap, int]:
-    """The map one stage applies at ambient dimension d, plus the ambient
-    dimension afterwards."""
+    """One stage's map at d_eff = e, plus d_eff after the stage."""
     if stage.kind == "dense" and stage.relu:
         n_out = stage.n_out
         b = transfer.b_matrix(provider, n_out)
-        return _StageMap(_Clip(n_out, d), b), n_out
+        return _StageMap(_Clip(n_out, e), b), min(e, n_out)
     if stage.kind in ("dense", "linear"):
         # clip to the rank (at most n_out without a ReLU, which makes no
         # cuts); embedding into n_out dimensions is a no-op
         rank = stage.rank if stage.kind == "linear" else stage.n_out
-        return _StageMap(_Clip(min(d, rank, stage.n_out), d)), stage.n_out
+        k = min(e, rank, stage.n_out)
+        return _StageMap(_Clip(k, e)), k
     if stage.kind == "maxpool":
         # a maxout layer with n_out units of rank k cuts like
         # c = (k^2 - k) * n_out hyperplanes; halved_c takes c/2, the
@@ -154,28 +157,28 @@ def _stage_map(stage: ResolvedStage, d: int, provider: GammaProvider,
         c = (stage.k * stage.k - stage.k) * n_out
         if halved_c:
             c //= 2
-        return _StageMap(_Scale(gamma_norms(d, c)), _Clip(n_out, d)), n_out
+        return (_StageMap(_Scale(gamma_norms(e, c)), _Clip(n_out, e)),
+                min(e, n_out))
     if stage.kind in ("skip", "residual"):
         # entry j is the number of regions the body carves out of one
         # j-dimensional region; concatenating or adding the input back
         # restores each region's dimension to j
-        body, body_out = _stage_maps(stage.body, d, provider, halved_c)
-        factors = [1] * (body_out + 1)
+        body, body_e = _stage_maps(stage.body, e, provider, halved_c)
+        factors = [1] * (body_e + 1)
         for f in reversed(body):
             factors = f.transposed(factors)
-        d_after = d + body_out if stage.kind == "skip" else d
-        return _StageMap(_Scale(factors)), d_after
+        return _StageMap(_Scale(factors)), e
     raise ValueError(f"unknown stage kind '{stage.kind}'")
 
 
-def _stage_maps(stages: Sequence[ResolvedStage], d: int,
+def _stage_maps(stages: Sequence[ResolvedStage], e: int,
                 provider: GammaProvider,
                 halved_c: bool) -> tuple[list[_StageMap], int]:
     maps = []
     for stage in stages:
-        f, d = _stage_map(stage, d, provider, halved_c)
+        f, e = _stage_map(stage, e, provider, halved_c)
         maps.append(f)
-    return maps, d
+    return maps, e
 
 
 def evaluate(stages: Sequence[ResolvedStage], variant: GammaVariant | str,

@@ -91,11 +91,6 @@ class BMatrix:
             rows.append(row)
         return rows
 
-    @property
-    def columns(self) -> tuple[Histogram, ...]:
-        """Column j is clip(gamma(j, n'), j)."""
-        return tuple(Histogram(col) for col in zip(*self._dense_rows()))
-
     def render(self) -> str:
         """Rows of space-separated decimals (appendix matrix layout)."""
         return "\n".join(" ".join(map(str, row))

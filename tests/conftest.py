@@ -326,6 +326,11 @@ def ref_b_matrix(provider, nprime):
     return [[c[i] for c in cols] for i in range(nprime + 1)]
 
 
+def b_columns(b) -> tuple[Histogram, ...]:
+    """Columns of a ``transfer.BMatrix``; column j is clip(gamma(j, n'), j)."""
+    return tuple(Histogram(col) for col in zip(*b._dense_rows()))
+
+
 def ref_diag(values):
     return [[values[i] if i == j else 0 for j in range(len(values))]
             for i in range(len(values))]

@@ -160,6 +160,14 @@ class TestSweep:
         assert first[:3] == ["10", "6", "1"]
         assert first[3] == first[4]  # single layer: variants agree
 
+    @pytest.mark.parametrize("widths", ["5..3", ""])
+    def test_empty_list_exits_one(self, runner, widths):
+        res = runner.invoke(main, ["sweep", "--n0", "10",
+                                   "--widths", widths, "--depths", "1..3"])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: ")
+        assert "n0,ni,k" not in res.stdout
+
 
 class TestOracle:
     def test_witness_ok(self, runner, tmp_path):

@@ -185,6 +185,25 @@ class TestTransposedPass:
         assert any(kind in ("skip", "residual") and inside
                    for kind, inside in seen)
 
+    @pytest.mark.parametrize("kind", ["skip", "residual"])
+    def test_factors_have_d_eff_entries(self, kind):
+        # n0 = 3, then width 64, a maxpool to 32 and a wrapper over a
+        # width-64 body: mass sits at indices 0..3 only, so the maxpool
+        # and wrapper factors have 4 entries, not 65 or 33
+        last = 64 if kind == "skip" else 32  # a residual adds back 32
+        body = (ResolvedStage("dense", 32, 64, relu=True),
+                ResolvedStage("dense", 64, last, relu=True))
+        stages = (ResolvedStage("dense", 3, 64, relu=True),
+                  ResolvedStage("maxpool", 64, 32, k=2),
+                  ResolvedStage(kind, 32, 32 + last if kind == "skip" else 32,
+                                body=body))
+        maps, e = engine._stage_maps(stages, 3, GammaProvider("ours"), False)
+        assert e == 3
+        assert len(maps[1].ops[0].factors) == 4
+        assert len(maps[2].ops[0].factors) == 4
+        assert engine.evaluate(stages, "ours", 3).per_stage \
+            == reference_per_stage(stages, "ours", 3)
+
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_stage_transpose_is_adjoint(self, variant):
         # <w, f(h)> == <f^T(w), h> for every stage map of random trees
@@ -219,15 +238,16 @@ class TestLinearDense:
         stages = archspec.resolve(archspec.NetworkSpec(10, blocks))
         assert engine.evaluate(stages, variant, 10).bound == 21
 
-    def test_ambient_dimension_is_n_out(self):
+    def test_d_eff_is_min_of_input_and_n_out(self):
+        # embedding 2 dimensions into 5 leaves d_eff at 2
         provider = GammaProvider("ours")
-        f, d = engine._stage_map(ResolvedStage("dense", 4, 2), 4, provider,
+        f, e = engine._stage_map(ResolvedStage("dense", 4, 2), 4, provider,
                                  False)
-        assert d == 2
+        assert e == 2
         assert f(Histogram.unit(4)) == Histogram.unit(2)
-        f, d = engine._stage_map(ResolvedStage("dense", 2, 5), 2, provider,
+        f, e = engine._stage_map(ResolvedStage("dense", 2, 5), 2, provider,
                                  False)
-        assert d == 5
+        assert e == 2
         assert f(Histogram((3, 1, 2))) == Histogram((3, 1, 2))
 
 

@@ -8,8 +8,8 @@ import tracemalloc
 
 import pytest
 
-from conftest import (hist_add, leq, random_stage_tree, ref_b_matrix,
-                      ref_m_matrix, ref_mat_vec)
+from conftest import (b_columns, hist_add, leq, random_stage_tree,
+                      ref_b_matrix, ref_m_matrix, ref_mat_vec)
 from regionbound import engine, gamma, transfer
 from regionbound.archspec import ResolvedStage
 from regionbound.gamma import ColumnCapExceeded, GammaProvider, gamma_norm
@@ -76,14 +76,15 @@ class TestBMatrix:
     def test_b2_columns(self):
         b = transfer.b_matrix(GammaProvider("ours"), 2)
         assert (b.rows, b.cols) == (3, 3)
-        assert b.columns[0] == Histogram((1, 0, 0))
-        assert b.columns[1] == Histogram((0, 3, 0))
-        assert b.columns[2] == Histogram((1, 2, 1))
+        cols = b_columns(b)
+        assert cols[0] == Histogram((1, 0, 0))
+        assert cols[1] == Histogram((0, 3, 0))
+        assert cols[2] == Histogram((1, 2, 1))
 
     def test_columns_monotone(self):
-        b = transfer.b_matrix(GammaProvider("ours"), 7)
+        cols = b_columns(transfer.b_matrix(GammaProvider("ours"), 7))
         for j in range(7):
-            assert leq(b.columns[j], b.columns[j + 1])
+            assert leq(cols[j], cols[j + 1])
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_apply_matches_row_major(self, variant):
@@ -116,7 +117,22 @@ class TestBMatrix:
             b = transfer.b_matrix(GammaProvider(variant), nprime)
             dense_b = ref_b_matrix(GammaProvider(variant), nprime)
             assert rendered_rows(b) == [tuple(row) for row in dense_b]
-            assert b.columns == tuple(Histogram(col) for col in zip(*dense_b))
+            assert b_columns(b) == tuple(Histogram(col)
+                                         for col in zip(*dense_b))
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_diagonal_columns_threshold(self, variant):
+        # column j is gamma_norm(j, n') * unit(j) exactly when
+        # 3j < n' + 2 ("ours") or 2j <= n' ("serra")
+        diagonal = {"ours": lambda j, n: 3 * j < n + 2,
+                    "serra": lambda j, n: 2 * j <= n}[variant]
+        for nprime in range(1, 131):
+            norms = gamma.gamma_norms(nprime, nprime)
+            cols = b_columns(transfer.b_matrix(GammaProvider(variant),
+                                               nprime))
+            for j, col in enumerate(cols):
+                unit = Histogram((0,) * j + (norms[j],))
+                assert (col == unit) == diagonal(j, nprime), (nprime, j)
 
     def test_band_lies_where_the_closed_form_leaves_binomials(self):
         for nprime in range(1, 131):
@@ -240,9 +256,10 @@ class TestMMatrix:
             assert f(v) == v
 
     def test_embedding(self):
-        f, d = engine._stage_map(ResolvedStage("linear", 1, 2, rank=1), 1,
+        # embedding into 2 dimensions keeps d_eff at the rank, 1
+        f, e = engine._stage_map(ResolvedStage("linear", 1, 2, rank=1), 1,
                                  GammaProvider("ours"), False)
-        assert d == 2
+        assert e == 1
         assert f(Histogram((0, 1))) == Histogram((0, 1, 0))
 
     def test_apply_equals_clip(self):
