@@ -49,7 +49,8 @@ def _guarded(fn):
 @click.group()
 @click.option("--gamma-cap", type=int, default=DEFAULT_COLUMN_CAP,
               show_default=True,
-              help="Largest n' whose gamma column (and so B) is built.")
+              help="Largest layer width n' for which B or a gamma column "
+                   "is built.")
 @click.option("--mantissa-digits", type=int, default=4, show_default=True,
               help="Significant digits in scientific renderings.")
 @click.option("--maxout-c-halved", is_flag=True,
@@ -132,7 +133,7 @@ def cmd_bound(cfg: CliConfig, arch_file, variant, output):
     report = engine.evaluate(stages, variant, spec.input_nodes,
                              provider=provider, halved_c=cfg.halved_c,
                              digits=cfg.mantissa_digits)
-    _emit(f"{report.bound}\n{report.scientific}\n", output)
+    _emit(f"{engine.exact(report.bound)}\n{report.scientific}\n", output)
 
 
 @main.command("compare")
@@ -147,8 +148,8 @@ def cmd_compare(cfg: CliConfig, arch_file, output):
                                         gamma_cap=cfg.gamma_cap,
                                         halved_c=cfg.halved_c,
                                         digits=cfg.mantissa_digits)
-    _emit(f"ours={ours.bound} ({ours.scientific})\n"
-          f"serra={serra.bound} ({serra.scientific})\n"
+    _emit(f"ours={engine.exact(ours.bound)} ({ours.scientific})\n"
+          f"serra={engine.exact(serra.bound)} ({serra.scientific})\n"
           f"ratio={ratio}\n", output)
 
 
@@ -205,7 +206,8 @@ def cmd_oracle(cfg: CliConfig, net_file, method, samples, seed, output):
     bound = engine.evaluate(stages, GammaVariant.OURS, net.n0,
                             provider=provider).bound
     verdict = "OK" if result.count <= bound else "VIOLATION"
-    _emit(f"count={result.count} bound={bound} {verdict}\n", output)
+    _emit(f"count={engine.exact(result.count)} bound={engine.exact(bound)} "
+          f"{verdict}\n", output)
     if verdict != "OK":
         sys.exit(1)
 
@@ -237,7 +239,8 @@ def cmd_demo(cfg: CliConfig, name, output):
                                  provider=provider, halved_c=cfg.halved_c,
                                  digits=cfg.mantissa_digits)
         bounds.append(report.bound)
-        lines.append(f"{label}: {report.bound} ({report.scientific})")
+        lines.append(
+            f"{label}: {engine.exact(report.bound)} ({report.scientific})")
     ratio = engine.format_ratio(Fraction(bounds[0], bounds[1]),
                                 cfg.mantissa_digits)
     lines.append(f"ratio={ratio}")

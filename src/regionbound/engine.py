@@ -59,6 +59,12 @@ def scientific(n: int, digits: int = 4) -> str:
     return _mantissa(d, digits)
 
 
+def exact(n: int) -> str:
+    """All decimal digits of an integer.  Unlike ``str``, this has no
+    4,300-digit limit, which the parsers keep for their input."""
+    return str(decimal.Decimal(n))
+
+
 def format_ratio(ratio: Fraction, digits: int = 4) -> str:
     """Decimal rendering of an exact rational, scientific when large."""
     with decimal.localcontext() as ctx:
@@ -240,6 +246,6 @@ SWEEP_HEADER = "n0,ni,k,bound_ours,bound_serra,ratio"
 
 def sweep_csv(rows) -> str:
     lines = [SWEEP_HEADER]
-    lines.extend(f"{n0},{ni},{k},{bo},{bs},{ratio}"
+    lines.extend(f"{n0},{ni},{k},{exact(bo)},{exact(bs)},{ratio}"
                  for n0, ni, k, bo, bs, ratio in rows)
     return "\n".join(lines) + "\n"

@@ -2,34 +2,38 @@
 
 ``gamma(variant, n, nprime)`` bounds the activation histogram of an
 n-dimensional space cut by nprime hyperplanes.  Both variants have a
-per-entry closed form over Pascal's triangle, so any single
-gamma(n, nprime) is built without its predecessors.
+per-entry closed form, so any single gamma(n, nprime) is built without
+its predecessors.
 
 "serra" has entry i equal to C(nprime, i) for i >= nprime - n, else 0.
 
-"ours" is gamma(0, m) = unit(m), gamma(1, m) = the first-layer seed and
-gamma(m, m) = row m of Pascal's triangle.  For 2 <= n < m, with
-k = m - n, entry i is
+"ours" is gamma(0, m) = unit(m) and gamma(1, m) = the first-layer seed.
+For 2 <= n <= m, with k = m - n, entry i is
 
 * C(m, i) for i > k,
-* 2*C(m-2, n-1) + C(m-2, n-2) for i = k,
-* C(n-2+s, n-2) + 2*C(n-2+s, n-1) for i < k, where s = 2i - k,
+* C(n-2+s, n-2) + 2*C(n-2+s, n-1) for i <= k, where s = 2i - k,
   and 0 when s < 0.
 
 This solves the recursion gamma(n, m) = gamma(n-1, m-1) + gamma(n, m-1)
 shifted up one index: along its lattice paths i - (m - n) is fixed,
 paths with i < k end on the n=1 seed, and the hockey-stick identity sums
-them.  An "ours" column therefore costs O(nprime^2) big-int additions.
-A column of either variant holds about nprime^2 entries of up to nprime
-bits, so its memory grows as nprime^3 bits; hence the provider's column
-cap.  Only the CLI ``gamma`` command builds whole columns.
+them.  The entry i = k, 2*C(m-2, n-1) + C(m-2, n-2), is the same form
+at s = k, and at n = m the form gives row m of Pascal's triangle.
+
+Both closed forms are stepped exactly, with no Pascal's triangle: the
+binomial row of nprime is the difference of ``gamma_norms``, and the
+entries i <= k of each "ours" gamma(n, m) step from one ``math.comb``.
+A column therefore costs O(nprime^2) big-int multiply-divides.  It holds
+about nprime^2 entries of up to nprime bits, so its memory grows as
+nprime^3 bits; hence the provider's width cap.  Only the CLI ``gamma``
+command builds whole columns, and the provider keeps none.
 
 The engine needs only the ReLU-layer B matrix, whose off-diagonal
 entries these closed forms make C(nprime, i) on a suffix of each row,
 plus a band of about nprime^2/12 entries for "ours" (see
 ``regionbound.transfer``).  The provider builds B from those binomials
 directly, in O(nprime) big-int steps for "serra" and O(nprime^2) for
-"ours", without a column or a Pascal row, and keeps only B.
+"ours", without a column, and keeps only B.
 """
 from __future__ import annotations
 
@@ -50,35 +54,17 @@ class GammaVariant(str, Enum):
 
 
 class ColumnCapExceeded(Exception):
-    """Requested table column is larger than the configured memory cap."""
+    """A layer of nprime hyperplanes is wider than the provider's cap, so
+    neither its B matrix nor its gamma column is built."""
 
     def __init__(self, nprime: int, cap: int):
         super().__init__(
-            f"gamma column too large: n'={nprime} exceeds cap {cap}")
+            f"layer width n'={nprime} exceeds cap {cap}")
         self.nprime = nprime
         self.cap = cap
 
 
-# -- binomials (additive Pascal recurrence, exact) ----------------------------
-
-_pascal_rows: list[tuple[int, ...]] = [(1,)]
-_pascal_lock = threading.Lock()
-
-
-def binomial_row(n: int) -> tuple[int, ...]:
-    """Row n of Pascal's triangle: (C(n,0), ..., C(n,n))."""
-    if n < 0:
-        raise ValueError("negative row")
-    if n < len(_pascal_rows):
-        return _pascal_rows[n]
-    with _pascal_lock:
-        while len(_pascal_rows) <= n:
-            prev = _pascal_rows[-1]
-            row = (1,) + tuple(prev[i] + prev[i + 1]
-                               for i in range(len(prev) - 1)) + (1,)
-            _pascal_rows.append(row)
-    return _pascal_rows[n]
-
+# -- binomials (exact multiplicative steps) -----------------------------------
 
 def gamma_norms(nmax: int, nprime: int) -> list[int]:
     """[gamma_norm(n, nprime) for n = 0..nmax] in O(nmax) big-int steps.
@@ -111,35 +97,28 @@ def first_layer_gamma(n: int) -> Histogram:
     return Histogram((0,) * zeros + (n % 2,) + (2,) * (n // 2) + (1,))
 
 
-def serra_gamma(n: int, nprime: int) -> Histogram:
-    """Serra closed form: entry i is C(nprime, i) for i >= nprime - n."""
-    if nprime < 1:
-        raise ValueError("no hyperplanes")
-    n = min(n, nprime)
-    row = binomial_row(nprime)
-    return Histogram((0,) * (nprime - n) + row[nprime - n:])
+def _binomial_row(norms: list[int]) -> list[int]:
+    """C(nprime, 0..nprime) from norms = ``gamma_norms(nprime, nprime)``."""
+    return [1] + [b - a for a, b in zip(norms, norms[1:])]
 
 
-def _ours_entry(n: int, m: int, rows) -> Histogram:
-    """Closed form of gamma(n, m) for "ours", n <= m, from Pascal rows 0..m
-    (see the module docstring)."""
-    if n == 0:
-        return Histogram.unit(m)
-    if n == 1:
-        return first_layer_gamma(m)
-    if n == m:
-        return Histogram(rows[m])
-    k = m - n
-    entries = [0] * ((k + 1) // 2)  # s = 2i - k < 0
-    if k % 2 == 0:
-        entries.append(1)  # s = 0: C(n-2, n-2) + 2*C(n-2, n-1)
-    for s in range(2 - k % 2, k - 1, 2):
-        row = rows[n - 2 + s]
-        entries.append(row[n - 2] + 2 * row[n - 1])
-    row = rows[m - 2]
-    entries.append(2 * row[n - 1] + row[n - 2])
-    entries.extend(rows[m][k + 1:])
-    return Histogram(entries)
+def _ours_lower(n: int, nprime: int) -> list[int]:
+    """Entries 0..k of the "ours" gamma(n, nprime), 2 <= n <= nprime,
+    k = nprime - n (see the module docstring).
+
+    Entry i is 0 where s = 2i - k < 0, else t*(2a-n+3)/(n-1) with
+    a = n-2+s and t = C(a, n-2); t starts from one ``math.comb`` and
+    steps C(a+2, n-2) = t*(a+1)*(a+2) / ((a-n+3)*(a-n+4)) exactly.
+    """
+    k = nprime - n
+    entries = [0] * ((k + 1) // 2)
+    a = n - 2 + k % 2
+    t = comb(a, n - 2)
+    for _ in range(k // 2 + 1):
+        entries.append(t * (2 * a - n + 3) // (n - 1))
+        t = t * ((a + 1) * (a + 2)) // ((a - n + 3) * (a - n + 4))
+        a += 2
+    return entries
 
 
 def _b_matrix(nprime: int, ours: bool) -> BMatrix:
@@ -152,7 +131,7 @@ def _b_matrix(nprime: int, ours: bool) -> BMatrix:
     """
     n = nprime
     norms = gamma_norms(n, n)  # norms[j] = gamma_norm(j, n)
-    binom = [1] + [b - a for a, b in zip(norms, norms[1:])]
+    binom = _binomial_row(norms)
     off = [0] * (n + 1)  # off-diagonal sum of each column
     band: list[tuple[int, tuple[int, ...]]] = []
     if ours:
@@ -182,13 +161,13 @@ def _b_matrix(nprime: int, ours: bool) -> BMatrix:
 
 
 class GammaProvider:
-    """Builds gamma columns for one variant under a column cap, and caches
+    """Builds gamma columns for one variant under a width cap, and caches
     the ReLU-layer B matrix of each width.
 
     A column is built afresh on every call and not kept; only the CLI
     ``gamma`` command asks for one.  The engine reads only B, which is
-    built from binomials, with no gamma column and no Pascal row, once
-    per nprime under the provider's lock and column cap.
+    built from binomials, with no gamma column, once per nprime under the
+    provider's lock and width cap.
     """
 
     def __init__(self, variant: GammaVariant | str = GammaVariant.OURS,
@@ -209,15 +188,17 @@ class GammaProvider:
     def column(self, nprime: int) -> tuple[Histogram, ...]:
         """All gamma(n, nprime) for n = 0..nprime."""
         self._check(nprime)
-        if self.variant is GammaVariant.OURS:
-            rows = [binomial_row(j) for j in range(nprime + 1)]
-            return tuple(_ours_entry(n, nprime, rows)
+        row = _binomial_row(gamma_norms(nprime, nprime))
+        if self.variant is GammaVariant.SERRA:
+            return tuple(Histogram([0] * (nprime - n) + row[nprime - n:])
                          for n in range(nprime + 1))
-        return tuple(serra_gamma(n, nprime) for n in range(nprime + 1))
+        return (Histogram.unit(nprime), first_layer_gamma(nprime)) + tuple(
+            Histogram(_ours_lower(n, nprime) + row[nprime - n + 1:])
+            for n in range(2, nprime + 1))
 
     def b_matrix(self, nprime: int) -> BMatrix:
         """The cached ReLU-layer B matrix for nprime (see
-        ``regionbound.transfer``): built once, under the column cap, and
+        ``regionbound.transfer``): built once, under the width cap, and
         the same object on every call."""
         b = self._b_matrices.get(nprime)
         if b is not None:

@@ -14,7 +14,7 @@ from conftest import (columns_by_recursion, gamma_entry, random_concrete_net,
                       random_mlp_spec)
 from regionbound import archspec, engine, oracle
 from regionbound.cli import main as cli_main
-from regionbound.gamma import GammaProvider, GammaVariant, serra_gamma
+from regionbound.gamma import GammaProvider, GammaVariant
 
 
 def criterion(name, limit_s):
@@ -178,7 +178,9 @@ def test_criterion_7_sweep_ratios():
 
 @criterion("closed-form cross-check up to n'=64", 60.0)
 def test_criterion_8_serra_recursion():
+    gp = GammaProvider(GammaVariant.SERRA)
     for nprime, by_rec in enumerate(
             columns_by_recursion(GammaVariant.SERRA, 64), start=1):
+        closed = gp.column(nprime)
         for n in range(nprime + 1):
-            assert by_rec[n] == serra_gamma(n, nprime)
+            assert by_rec[n] == closed[n]

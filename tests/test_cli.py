@@ -1,10 +1,11 @@
+import decimal
 import json
 
 import pytest
 from click.testing import CliRunner
 
 from conftest import gamma_entry, net_to_json, parse_histogram
-from regionbound import archspec, oracle, transfer
+from regionbound import archspec, engine, oracle, transfer
 from regionbound.cli import main
 from regionbound.gamma import GammaProvider
 
@@ -132,6 +133,14 @@ class TestBound:
         assert res.exit_code == 2
         assert "cap 8" in res.stderr
 
+    def test_cap_error_names_the_width(self, runner, tmp_path):
+        # the README example; the engine builds B but no gamma column
+        res = runner.invoke(main, ["--gamma-cap", "4", "bound",
+                                   mlp_file(tmp_path, 10, [6, 6])])
+        assert res.exit_code == 2
+        assert "n'=6 exceeds cap 4" in res.stderr
+        assert "column" not in res.stderr
+
 
 class TestCompare:
     def test_line_format(self, runner, tmp_path):
@@ -167,6 +176,44 @@ class TestSweep:
         assert res.exit_code == 1
         assert res.stderr.startswith("error: ")
         assert "n0,ni,k" not in res.stdout
+
+
+class TestLongBounds:
+    """mlp(64, 64, 230) is bounded by an integer of 4,368 digits, past the
+    4,300-digit limit of ``str(int)``; every command prints it in full."""
+
+    @staticmethod
+    def _bounds():
+        stages = archspec.resolve(archspec.mlp(64, 64, 230))
+        return [engine.evaluate(stages, v, 64).bound
+                for v in ("ours", "serra")]
+
+    @staticmethod
+    def _int(text):
+        return int(decimal.Decimal(text))  # int(text) has the same limit
+
+    def test_sweep(self, runner):
+        res = runner.invoke(main, ["sweep", "--n0", "64", "--widths", "64",
+                                   "--depths", "230"])
+        assert res.exit_code == 0, res.output
+        row = res.output.splitlines()[1].split(",")
+        assert row[:3] == ["64", "64", "230"]
+        assert len(row[3]) == 4368
+        assert [self._int(x) for x in row[3:5]] == self._bounds()
+
+    def test_bound_and_compare(self, runner, tmp_path):
+        path = mlp_file(tmp_path, 64, [64] * 230)
+        res = runner.invoke(main, ["bound", path])
+        assert res.exit_code == 0, res.output
+        digits, sci = res.output.splitlines()
+        ours, serra = self._bounds()
+        assert self._int(digits) == ours
+        assert sci.endswith("×10^4367")
+        res = runner.invoke(main, ["compare", path])
+        assert res.exit_code == 0, res.output
+        lines = res.output.splitlines()
+        assert self._int(lines[0][5:].split(" ")[0]) == ours
+        assert self._int(lines[1][6:].split(" ")[0]) == serra
 
 
 class TestOracle:

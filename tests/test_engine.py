@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (mlp_bound, random_mlp_spec, random_stage_tree,
                       reference_per_stage)
-from regionbound import archspec, engine, gamma
+from regionbound import archspec, engine
 from regionbound.archspec import ResolvedStage
 from regionbound.gamma import GammaProvider, gamma_norm
 from regionbound.histogram import Histogram
@@ -252,10 +252,9 @@ class TestLinearDense:
 
 
 class TestMaxpoolMemory:
-    def test_large_window_count_stays_small(self, monkeypatch):
+    def test_large_window_count_stays_small(self):
         # c = (4^2 - 4) * 64 = 768 cut hyperplanes on a 256-dimensional
-        # input: the factors need no Pascal row of that size
-        monkeypatch.setattr(gamma, "_pascal_rows", [(1,)])
+        # input: the factors need no binomial table of that size
         doc = {"input": {"channels": 1, "height": 16, "width": 16},
                "blocks": [{"maxpool": {"window": 2}},
                           {"dense": {"out": 1, "relu": False}}]}
@@ -270,7 +269,6 @@ class TestMaxpoolMemory:
             tracemalloc.stop()
         assert report.bound == gamma_norm(256, 768)
         assert peak < 4 * 2 ** 20
-        assert len(gamma._pascal_rows) < 769
 
 
 class TestCompareAndSweep:

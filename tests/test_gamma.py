@@ -1,11 +1,12 @@
+import gc
 import math
+import tracemalloc
 
 import pytest
 
 from conftest import columns_by_recursion, gamma_entry, leq
 from regionbound.gamma import (ColumnCapExceeded, GammaProvider, GammaVariant,
-                               binomial_row, first_layer_gamma, gamma_norm,
-                               serra_gamma)
+                               first_layer_gamma, gamma_norm)
 from regionbound.histogram import Histogram
 
 # Columns of the published n'=6 tables, index n -> (entry_0, ..., entry_6).
@@ -90,11 +91,6 @@ class TestNorms:
                     expect += math.comb(c, n)
                 assert gamma_norm(n, c) == expect, (n, c)
 
-    def test_binomial_row(self):
-        assert binomial_row(6) == (1, 6, 15, 20, 15, 6, 1)
-        assert binomial_row(0) == (1,)
-        assert binomial_row(20)[10] == math.comb(20, 10)
-
 
 class TestBoundCondition:
     @pytest.mark.parametrize("variant", ["ours", "serra"])
@@ -121,7 +117,8 @@ class TestBoundCondition:
     def test_diagonal_is_binomial_row(self):
         gp = GammaProvider("ours")
         for n in (1, 4, 10):
-            assert gamma_entry(gp, n, n) == Histogram(binomial_row(n))
+            assert gamma_entry(gp, n, n) == Histogram(
+                math.comb(n, i) for i in range(n + 1))
 
 
 class TestSerraRecursion:
@@ -130,8 +127,7 @@ class TestSerraRecursion:
                 columns_by_recursion(GammaVariant.SERRA, 16), start=1):
             if nprime not in (2, 6, 16):
                 continue
-            closed = tuple(serra_gamma(n, nprime) for n in range(nprime + 1))
-            assert by_rec == closed
+            assert by_rec == GammaProvider("serra").column(nprime)
 
 
 class TestOursClosedForm:
@@ -151,7 +147,8 @@ class TestOursClosedForm:
                 assert h[i] == math.comb(nprime, i)
             if n < nprime:
                 assert leq(h, col[n + 1])
-        assert col[nprime] == Histogram(binomial_row(nprime))
+        assert col[nprime] == Histogram(
+            math.comb(nprime, i) for i in range(nprime + 1))
 
 
 class TestCap:
@@ -160,3 +157,19 @@ class TestCap:
         gp.column(8)
         with pytest.raises(ColumnCapExceeded, match="cap 8"):
             gp.column(9)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_column_keeps_nothing(self, variant):
+        # the column itself takes about 10 MB ("ours") or 3.4 MB ("serra");
+        # once it is dropped, nothing built for it may stay in the process
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert len(GammaProvider(variant).column(640)) == 641
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 2 ** 10

@@ -198,9 +198,7 @@ class TestBMatrix:
 
     def test_provider_keeps_only_b(self):
         # B is built without a gamma column (which would take about
-        # 1.5 MiB); Pascal rows are shared, so they are built before
-        # measuring, although building B reads none
-        gamma.binomial_row(256)
+        # 1.5 MiB)
         p = GammaProvider("ours")
         gc.collect()
         tracemalloc.start()
@@ -227,16 +225,6 @@ class TestBMatrix:
             tracemalloc.stop()
         assert held < 0.1 * 2 ** 20
         assert transfer.b_matrix(p, 512) is b
-
-    @pytest.mark.parametrize("variant", ["ours", "serra"])
-    def test_engine_builds_no_pascal_row(self, variant):
-        built = len(gamma._pascal_rows)
-        width = built + 3
-        stages = [dense(width), skip(dense(width)), maxpool(width, 4),
-                  dense(1, relu=False)]
-        report = engine.evaluate(stages, variant, 4)
-        assert report.bound > 1
-        assert len(gamma._pascal_rows) == built
 
     def test_cap_applies(self):
         p = GammaProvider("ours", cap=4)
