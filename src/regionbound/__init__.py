@@ -4,15 +4,14 @@ from .archspec import NetworkSpec, ResolvedStage, builtin, parse, resolve
 from .engine import BoundReport, compare, evaluate, sweep
 from .gamma import GammaProvider, GammaVariant, gamma_norm
 from .histogram import Histogram
-from .oracle import (ConcreteNet, RegionCount, build_gamma1n_witness,
-                     count_regions_1d, pattern_lower_bound)
+from .oracle import (ConcreteNet, RegionCount, count_regions_1d,
+                     pattern_lower_bound)
 
 __all__ = [
     "BoundReport", "ConcreteNet", "GammaProvider", "GammaVariant",
-    "Histogram", "NetworkSpec", "RegionCount", "ResolvedStage",
-    "build_gamma1n_witness", "builtin", "compare", "count_regions_1d",
-    "evaluate", "gamma_norm", "parse", "pattern_lower_bound", "resolve",
-    "sweep",
+    "Histogram", "NetworkSpec", "RegionCount", "ResolvedStage", "builtin",
+    "compare", "count_regions_1d", "evaluate", "gamma_norm", "parse",
+    "pattern_lower_bound", "resolve", "sweep",
 ]
 
 __version__ = "0.1.0"

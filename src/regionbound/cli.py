@@ -8,6 +8,8 @@ import functools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from typing import Iterable, Iterator
 
 import click
 
@@ -23,12 +25,18 @@ class CliConfig:
     halved_c: bool = False
 
 
-def _emit(text: str, output: str | None):
+def _emit(text: str | Iterable[str], output: str | None):
+    """Write text, or each chunk of an iterable of text as it is made.
+    The first chunk is made before ``output`` is opened, so an error
+    raised before any output leaves no file."""
+    chunks = iter((text,) if isinstance(text, str) else text)
+    chunks = chain([next(chunks, "")], chunks)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        click.echo(text, nl=False)
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
 
 
 def _guarded(fn):
@@ -49,8 +57,8 @@ def _guarded(fn):
 @click.group()
 @click.option("--gamma-cap", type=int, default=DEFAULT_COLUMN_CAP,
               show_default=True,
-              help="Largest layer width n' for which B or a gamma column "
-                   "is built.")
+              help="Largest B block order a ReLU layer builds, "
+                   "min(d_eff, n'); the largest n' for bmatrix and gamma.")
 @click.option("--mantissa-digits", type=int, default=4, show_default=True,
               help="Significant digits in scientific renderings.")
 @click.option("--maxout-c-halved", is_flag=True,
@@ -69,23 +77,23 @@ _variant_opt = click.option(
     default="both", show_default=True)
 
 
-def _gamma_lines(provider: GammaProvider, nprime: int) -> str:
+def _gamma_lines(provider: GammaProvider, nprime: int) -> Iterator[str]:
+    """Builds the column now and renders its lines as they are written."""
     col = provider.column(nprime)
-    return "\n".join(h.render(pad_to=nprime + 1) for h in col) + "\n"
+    return (h.render(pad_to=nprime + 1) + "\n" for h in col)
 
 
 def _per_variant(cfg: CliConfig, variant: str, name: str, dims: str,
-                 text) -> str:
-    """text(provider) for each selected variant; with "both", each part
-    starts with the line "# name[variant]dims"."""
-    parts = []
-    variants = ["ours", "serra"] if variant == "both" else [variant]
-    for v in variants:
-        provider = GammaProvider(GammaVariant(v), cap=cfg.gamma_cap)
-        if variant == "both":
-            parts.append(f"# {name}[{v}]{dims}\n")
-        parts.append(text(provider))
-    return "".join(parts)
+                 text) -> Iterator[str]:
+    """The chunks of text(provider) for each selected variant; with
+    "both", each part starts with the line "# name[variant]dims".
+    text(provider) is called before that line, so it fails first."""
+    both = variant == "both"
+    for v in ("ours", "serra") if both else (variant,):
+        chunks = text(GammaProvider(GammaVariant(v), cap=cfg.gamma_cap))
+        if both:
+            yield f"# {name}[{v}]{dims}\n"
+        yield from chunks
 
 
 @main.command("gamma")
@@ -109,7 +117,8 @@ def cmd_gamma(cfg: CliConfig, variant, nprime, output):
 def cmd_bmatrix(cfg: CliConfig, variant, nprime, output):
     """Dump the ReLU-layer B matrix for n' hyperplanes (appendix row layout)."""
     _emit(_per_variant(cfg, variant, "B", f"[{nprime}]",
-                       lambda p: transfer.b_matrix(p, nprime).render() + "\n"),
+                       lambda p: (transfer.b_matrix(p, nprime).render(),
+                                  "\n")),
           output)
 
 

@@ -21,9 +21,11 @@ maps w to v[i] = w[min(i, k)], a scaling is its own transpose and B^T
 takes one dot product per column.  So f is 1^T M_L ... M_1, found by one
 transposed pass over the body from the all-ones vector; a nested skip is
 one more scaling.  Bodies run through the same maps as top-level stages.
-B comes from the gamma provider, which builds it once per width and
-keeps it; a provider passed to repeated ``evaluate`` calls shares its B
-matrices.  All arithmetic is exact.
+A ReLU stage reads only the leading (min(d_eff, n_out) + 1)-block of B,
+which is diagonal, a scaling, in the regime the ``regionbound.transfer``
+docstring states.  The gamma provider keeps one block per width, so a
+provider passed to repeated ``evaluate`` calls shares them.  All
+arithmetic is exact.
 """
 from __future__ import annotations
 
@@ -145,8 +147,9 @@ def _stage_map(stage: ResolvedStage, e: int, provider: GammaProvider,
     """One stage's map at d_eff = e, plus d_eff after the stage."""
     if stage.kind == "dense" and stage.relu:
         n_out = stage.n_out
-        b = transfer.b_matrix(provider, n_out)
-        return _StageMap(_Clip(n_out, e), b), min(e, n_out)
+        k = min(e, n_out)
+        return (_StageMap(_Clip(n_out, e), transfer.b_matrix(provider, n_out,
+                                                             k + 1)), k)
     if stage.kind in ("dense", "linear"):
         # clip to the rank (at most n_out without a ReLU, which makes no
         # cuts); embedding into n_out dimensions is a no-op
@@ -192,8 +195,8 @@ def evaluate(stages: Sequence[ResolvedStage], variant: GammaVariant | str,
              halved_c: bool = False, digits: int = 4) -> BoundReport:
     """Exact upper bound on the number of linear regions of the network.
 
-    ``provider`` supplies the B matrices, under its own column cap; by
-    default a fresh one with the default cap."""
+    ``provider`` supplies the blocks of B, under its own cap on their
+    order; by default a fresh one with the default cap."""
     variant = GammaVariant(variant)
     if provider is None:
         provider = GammaProvider(variant)

@@ -31,9 +31,11 @@ command builds whole columns, and the provider keeps none.
 The engine needs only the ReLU-layer B matrix, whose off-diagonal
 entries these closed forms make C(nprime, i) on a suffix of each row,
 plus a band of about nprime^2/12 entries for "ours" (see
-``regionbound.transfer``).  The provider builds B from those binomials
-directly, in O(nprime) big-int steps for "serra" and O(nprime^2) for
-"ours", without a column, and keeps only B.
+``regionbound.transfer``), and of B only the leading block that the
+histogram reaches.  The provider builds a block of order m-1 from
+those binomials directly, in O(m) big-int steps for "serra" and at
+most O(m^2) for "ours", without a column, and keeps one block per
+nprime.
 """
 from __future__ import annotations
 
@@ -54,12 +56,14 @@ class GammaVariant(str, Enum):
 
 
 class ColumnCapExceeded(Exception):
-    """A layer of nprime hyperplanes is wider than the provider's cap, so
-    neither its B matrix nor its gamma column is built."""
+    """What a layer of nprime hyperplanes would build exceeds the
+    provider's cap: its gamma column or whole B matrix (order nprime), or
+    the leading block of B that the engine reads (order min(d_eff,
+    nprime))."""
 
-    def __init__(self, nprime: int, cap: int):
-        super().__init__(
-            f"layer width n'={nprime} exceeds cap {cap}")
+    def __init__(self, nprime: int, cap: int, order: int):
+        block = f" (B block of order {order})" if order < nprime else ""
+        super().__init__(f"layer width n'={nprime} exceeds cap {cap}{block}")
         self.nprime = nprime
         self.cap = cap
 
@@ -121,53 +125,56 @@ def _ours_lower(n: int, nprime: int) -> list[int]:
     return entries
 
 
-def _b_matrix(nprime: int, ours: bool) -> BMatrix:
-    """B for nprime hyperplanes from its row structure (see
-    ``regionbound.transfer``), built from binomials with no gamma column.
+def _b_matrix(nprime: int, ours: bool, m: int) -> BMatrix:
+    """The leading m-block of B for nprime hyperplanes, 1 <= m <= nprime+1,
+    from its row structure (see ``regionbound.transfer``), built from
+    binomials with no gamma column.
 
-    The binomial row is the difference of ``gamma_norms``.  Each "ours"
-    band row starts from one ``math.comb`` and steps
-    C(a+2, b+1) = C(a, b)*(a+1)*(a+2) / ((b+1)*(a-b+1)) exactly.
+    It needs ``gamma_norms(m-1, nprime)``, whose differences are the
+    first m binomials, and the band rows (nprime-m)/2 < i < m-1, cut at
+    column m.  Each "ours" band row starts from one ``math.comb`` and
+    steps C(a+2, b+1) = C(a, b)*(a+1)*(a+2) / ((b+1)*(a-b+1)) exactly.
     """
     n = nprime
-    norms = gamma_norms(n, n)  # norms[j] = gamma_norm(j, n)
-    binom = _binomial_row(norms)
-    off = [0] * (n + 1)  # off-diagonal sum of each column
-    band: list[tuple[int, tuple[int, ...]]] = []
+    norms = gamma_norms(m - 1, n)  # norms[j] = gamma_norm(j, n)
+    off = [0] * m  # off-diagonal sum of each column
+    band: list[tuple[int, int, tuple[int, ...]]] = []
     if ours:
-        band.append((n, (1,)))
-        off[n] = 1
-        for i in range(1, (n + 1) // 2):
+        if n < m:
+            band.append((0, n, (1,)))
+            off[n] = 1
+        for i in range(max(1, (n - m) // 2 + 1), min((n + 1) // 2, m - 1)):
             lo = max(i + 1, n - 2 * i)
+            hi = min(n - i, m - 1) + 1
             # entry j is C(a, j-2) + 2*C(a, j-1) = t*(2a-j+3)/(j-1), with
             # a = 2i+2j-n-2 and t = C(a, j-2)
             a = 2 * (i + lo) - n - 2
             t = comb(a, lo - 2)
             row = []
-            for j in range(lo, n - i + 1):
+            for j in range(lo, hi):
                 row.append(t * (2 * a - j + 3) // (j - 1))
                 t = t * ((a + 1) * (a + 2)) // ((j - 1) * (a - j + 3))
                 a += 2
-            hi = n - i + 1
             off[lo:hi] = map(add, off[lo:hi], row)
-            band.append((lo, tuple(row)))
+            band.append((i, lo, tuple(row)))
     shift = 1 if ours else 0
-    for j in range(1, n + 1):
-        first = n + shift - j  # first row of column j's binomial part
-        if first < j:
-            off[j] += norms[j - 1] - (norms[first - 1] if first > 0 else 0)
+    # rows n+shift-j <= i < j of column j hold C(n, i)
+    for j in range(max(1, (n + shift) // 2 + 1), m):
+        first = n + shift - j
+        off[j] += norms[j - 1] - (norms[first - 1] if first > 0 else 0)
     diag = [g - o for g, o in zip(norms, off)]
-    return BMatrix(diag, binom, shift, band)
+    return BMatrix(n, diag, _binomial_row(norms), shift, band)
 
 
 class GammaProvider:
     """Builds gamma columns for one variant under a width cap, and caches
-    the ReLU-layer B matrix of each width.
+    one block of the ReLU-layer B matrix per width.
 
     A column is built afresh on every call and not kept; only the CLI
-    ``gamma`` command asks for one.  The engine reads only B, which is
-    built from binomials, with no gamma column, once per nprime under the
-    provider's lock and width cap.
+    ``gamma`` command asks for one.  The engine reads only leading blocks
+    of B, which are built from binomials, with no gamma column, under
+    the provider's lock and cap.  A block is rebuilt, larger, only when
+    a larger one is asked for; a smaller one is served from it.
     """
 
     def __init__(self, variant: GammaVariant | str = GammaVariant.OURS,
@@ -179,15 +186,15 @@ class GammaProvider:
         self._b_matrices: dict[int, BMatrix] = {}
         self._lock = threading.Lock()
 
-    def _check(self, nprime: int) -> None:
+    def _check(self, nprime: int, order: int) -> None:
         if nprime < 1:
             raise ValueError("no hyperplanes")
-        if nprime > self.cap:
-            raise ColumnCapExceeded(nprime, self.cap)
+        if order > self.cap:
+            raise ColumnCapExceeded(nprime, self.cap, order)
 
     def column(self, nprime: int) -> tuple[Histogram, ...]:
         """All gamma(n, nprime) for n = 0..nprime."""
-        self._check(nprime)
+        self._check(nprime, nprime)
         row = _binomial_row(gamma_norms(nprime, nprime))
         if self.variant is GammaVariant.SERRA:
             return tuple(Histogram([0] * (nprime - n) + row[nprime - n:])
@@ -196,17 +203,18 @@ class GammaProvider:
             Histogram(_ours_lower(n, nprime) + row[nprime - n + 1:])
             for n in range(2, nprime + 1))
 
-    def b_matrix(self, nprime: int) -> BMatrix:
-        """The cached ReLU-layer B matrix for nprime (see
-        ``regionbound.transfer``): built once, under the width cap, and
-        the same object on every call."""
+    def b_matrix(self, nprime: int, m: int) -> BMatrix:
+        """A cached leading block of the ReLU-layer B matrix for nprime
+        (see ``regionbound.transfer``) with at least m rows, 1 <= m <=
+        nprime+1.  Its order m-1, the largest index, is checked against
+        the cap."""
         b = self._b_matrices.get(nprime)
-        if b is not None:
+        if b is not None and b.rows >= m:
             return b
-        self._check(nprime)
+        self._check(nprime, m - 1)
         with self._lock:
             b = self._b_matrices.get(nprime)
-            if b is None:
+            if b is None or b.rows < m:
                 b = self._b_matrices[nprime] = _b_matrix(
-                    nprime, self.variant is GammaVariant.OURS)
+                    nprime, self.variant is GammaVariant.OURS, m)
         return b

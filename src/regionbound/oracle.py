@@ -290,24 +290,3 @@ def pattern_lower_bound(net: ConcreteNet, samples: int, seed: int, *,
         patterns.add(tuple(pattern))
     return RegionCount(len(patterns), "pattern_sample", exact=False)
 
-
-# -- tightness witness -------------------------------------------------------------
-
-def build_gamma1n_witness(n: int) -> ConcreteNet:
-    """One-input ReLU layer with n units attaining the first-layer bound.
-
-    Breakpoints at 1..n; the first floor(n/2) units activate to the right
-    of their breakpoint, the rest to the left.
-    """
-    if n < 1:
-        raise OracleError("need at least one unit")
-    weights = []
-    bias = []
-    for j in range(1, n + 1):
-        if j <= n // 2:
-            weights.append((Fraction(1),))
-            bias.append(Fraction(-j))
-        else:
-            weights.append((Fraction(-1),))
-            bias.append(Fraction(j))
-    return ConcreteNet(1, (Layer(tuple(weights), tuple(bias), True),))

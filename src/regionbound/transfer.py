@@ -35,9 +35,17 @@ So B h costs O(n') big-int products for "serra": row i is
 diag[i]*h[i] + C(n', i) times a suffix sum of h.  "ours" adds one dot
 product per band row, about n'^2/12 products in all against n'^2/2 for
 the dense triangle.  B^T w uses prefix sums of C(n', i)*w[i], because
-the binomial rows that reach column j are a contiguous range.  B is
-built once per gamma provider and n' (``GammaProvider.b_matrix``) and
-kept under the provider's lock and column cap.  All entries are exact
+the binomial rows that reach column j are a contiguous range.
+
+Because B is upper triangular, a histogram with mass only below m
+needs only the leading m-block: rows and columns below m.  A ReLU
+stage at d_eff = e has m = min(e, n') + 1.  The block needs the first
+m binomials and the band rows (n'-m)/2 < i < m-1; a binomial suffix
+reaches it only when n' + shift < 2(m-1).  So when n' >= 3e - 1
+("ours") or n' >= 2e ("serra") the block is diag(gamma_norms(e, n')),
+and B h is a scaling.  The gamma provider keeps one block per n'
+(``GammaProvider.b_matrix``) under its lock and cap, and rebuilds it
+only when a larger one is asked for.  All entries are exact
 non-negative integers.
 """
 from __future__ import annotations
@@ -53,19 +61,21 @@ if TYPE_CHECKING:
 
 
 class BMatrix:
-    """Square upper-triangular matrix of big integers, stored as its
-    diagonal, the binomial row with its suffix rule, and a band.
+    """Leading m-block of the B matrix for n' hyperplanes: square, upper
+    triangular, big integers, stored as its diagonal, the binomial row
+    with its suffix rule, and the band rows that reach the block.
 
     Off the diagonal, row i is ``binom[i]`` on columns
-    j >= max(i+1, n'-i+shift), and ``band[i] = (lo, entries)`` holds
-    entries lo, lo+1, ... where it has any (rows past len(band) have
-    none).
+    j >= max(i+1, n'-i+shift), and ``band`` holds (i, lo, entries) with
+    entries lo, lo+1, ... of row i, for consecutive rows i and cut at
+    column m.  Products take and return vectors of at most m entries.
     """
 
-    __slots__ = ("diag", "binom", "shift", "band")
+    __slots__ = ("nprime", "diag", "binom", "shift", "band")
 
-    def __init__(self, diag: list[int], binom: list[int], shift: int,
-                 band: list[tuple[int, tuple[int, ...]]]):
+    def __init__(self, nprime: int, diag: list[int], binom: list[int],
+                 shift: int, band: list[tuple[int, int, tuple[int, ...]]]):
+        self.nprime = nprime
         self.diag = diag
         self.binom = binom
         self.shift = shift
@@ -79,16 +89,26 @@ class BMatrix:
     def cols(self) -> int:
         return len(self.diag)
 
+    def _fits(self, k: int) -> None:
+        if k > self.rows:
+            raise ValueError(f"vector of length {k} does not fit "
+                             f"{self.rows}x{self.cols} transform")
+
+    def _band_rows(self, k: int) -> list[tuple[int, int, tuple[int, ...]]]:
+        """The band rows that reach the first k columns: (n'-k)/2 < i < k-1."""
+        first = self.band[0][0] if self.band else 0
+        return self.band[max(0, (self.nprime - k) // 2 + 1 - first):
+                         max(0, k - 1 - first)]
+
     def _dense_rows(self) -> list[list[int]]:
-        n1 = len(self.diag)
+        m = self.rows
         rows = []
         for i, (d, c) in enumerate(zip(self.diag, self.binom)):
-            start = max(i + 1, n1 - 1 - i + self.shift)
-            row = [0] * i + [d] + [0] * (start - i - 1) + [c] * (n1 - start)
-            if i < len(self.band):
-                lo, g = self.band[i]
-                row[lo:lo + len(g)] = g
-            rows.append(row)
+            start = max(i + 1, self.nprime - i + self.shift)
+            rows.append([0] * i + [d] + [0] * (min(start, m) - i - 1)
+                        + [c] * (m - start))
+        for i, lo, g in self.band:
+            rows[i][lo:lo + len(g)] = g
         return rows
 
     def render(self) -> str:
@@ -99,59 +119,60 @@ class BMatrix:
     def apply(self, h: Histogram) -> Histogram:
         """Exact product B h, one row at a time from the row structure."""
         hs = h.entries
-        m = len(hs)
-        if m > self.cols:
-            raise ValueError(f"histogram of length {m} does not fit "
-                             f"{self.rows}x{self.cols} transform")
-        # rows i >= m are 0: B is upper triangular and h[j] = 0 for j >= m
+        k = len(hs)
+        self._fits(k)
+        # rows i >= k are 0: B is upper triangular and h[j] = 0 for j >= k
         out = list(map(mul, self.diag, hs))
-        suffix = list(accumulate(reversed(hs)))[::-1]  # h[j] + ... + h[m-1]
-        n = len(self.diag) - 1
-        tail = n + self.shift
+        tail = self.nprime + self.shift
         # row i's binomial suffix starts at max(i+1, tail-i), which is
-        # tail-i below mid; it reaches h for tail-m < i < m-1
-        lo, hi = max(0, tail - m + 1), m - 1
+        # tail-i below mid; it reaches h for tail-k < i < k-1
+        lo, hi = max(0, tail - k + 1), k - 1
         if lo < hi:
+            suffix = list(accumulate(reversed(hs)))[::-1]  # h[j]+...+h[k-1]
             mid = min(max((tail + 1) // 2, lo), hi)
             starts = chain(range(tail - lo, tail - mid, -1),
                            range(mid + 1, hi + 1))
             out[lo:hi] = map(add, out[lo:hi], map(
                 mul, self.binom[lo:hi], map(suffix.__getitem__, starts)))
-        # band row i reaches h for (n-m)/2 < i < m-1
-        band = self.band
-        for i in range(max(0, (n - m) // 2 + 1), min(len(band), hi)):
-            lo, g = band[i]
+        for i, lo, g in self._band_rows(k):
             out[i] += sum(map(mul, g, hs[lo:lo + len(g)]))
         return Histogram(out)
 
     def transposed(self, w: list[int]) -> list[int]:
-        """Exact product B^T w; w may be shorter than a column."""
-        n1 = len(self.diag)
-        m = min(len(w), n1)
-        out = list(map(mul, self.diag, w)) + [0] * (n1 - m)
-        # prefix[k] = sum of C(n', i) * w[i] over i < k
-        prefix = [0, *accumulate(map(mul, self.binom, w))]
-        tail = n1 - 1 + self.shift
-        # column j collects the binomial suffixes of rows
-        # tail-j <= i < min(j, m), which exist for j > tail/2, j > tail-m
-        lo = max(tail // 2 + 1, tail - m + 1)
-        if lo < n1:
-            ends = chain(range(lo, m), repeat(m, n1 - max(lo, m)))
+        """Exact product B^T w, with len(w) entries: entry j reads only
+        rows i <= j."""
+        k = len(w)
+        self._fits(k)
+        out = list(map(mul, self.diag, w))
+        tail = self.nprime + self.shift
+        # column j collects the binomial suffixes of rows tail-j <= i < j,
+        # which exist for j > tail/2
+        lo = tail // 2 + 1
+        if lo < k:
+            # prefix[i] = sum of C(n', r) * w[r] over r < i
+            prefix = [0, *accumulate(map(mul, self.binom, w))]
             out[lo:] = map(add, out[lo:], map(
-                sub, map(prefix.__getitem__, ends),
-                prefix[tail - n1 + 1:tail - lo + 1][::-1]))
-        for (lo, g), x in zip(self.band, w):
+                sub, prefix[lo:k], prefix[tail - k + 1:tail - lo + 1][::-1]))
+        for i, lo, g in self._band_rows(k):
+            x = w[i]
             if x:
                 hi = lo + len(g)
                 out[lo:hi] = map(add, out[lo:hi], map(mul, g, repeat(x)))
         return out
 
 
-def b_matrix(provider: GammaProvider, nprime: int) -> BMatrix:
+def b_matrix(provider: GammaProvider, nprime: int,
+             m: int | None = None) -> BMatrix:
     """ReLU-layer matrix: column j is clip(gamma(j, nprime), j).
 
-    The same object is returned for every call with this provider and
-    nprime."""
+    ``m`` asks for the leading block of size m, rows and columns below
+    m; ``None`` asks for the whole matrix, m = nprime + 1.  The provider
+    keeps one block per nprime and may return a larger one than asked
+    for: the same object on every call that it covers."""
     if nprime < 1:
         raise ValueError("no hyperplanes")
-    return provider.b_matrix(nprime)
+    if m is None:
+        m = nprime + 1
+    if not 1 <= m <= nprime + 1:
+        raise ValueError(f"block size {m} outside 1..{nprime + 1}")
+    return provider.b_matrix(nprime, m)

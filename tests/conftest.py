@@ -85,6 +85,21 @@ def widths(net: oracle.ConcreteNet) -> tuple[int, ...]:
     return tuple(layer.n_out for layer in net.layers)
 
 
+def build_gamma1n_witness(n: int) -> oracle.ConcreteNet:
+    """One-input ReLU layer with n >= 1 units attaining the first-layer
+    bound.
+
+    Breakpoints at 1..n; the first floor(n/2) units activate to the right
+    of their breakpoint, the rest to the left.
+    """
+    rows = [(Fraction(1),) if j <= n // 2 else (Fraction(-1),)
+            for j in range(1, n + 1)]
+    bias = [Fraction(-j) if j <= n // 2 else Fraction(j)
+            for j in range(1, n + 1)]
+    return oracle.ConcreteNet(1, (oracle.Layer(tuple(rows), tuple(bias),
+                                               True),))
+
+
 def serra_first_layer_gamma(n: int) -> Histogram:
     """Serra seed for one input dimension: (0,...,0,n,1)."""
     return Histogram((0,) * (n - 1) + (n, 1))

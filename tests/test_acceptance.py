@@ -10,8 +10,8 @@ from fractions import Fraction
 
 from click.testing import CliRunner
 
-from conftest import (columns_by_recursion, gamma_entry, random_concrete_net,
-                      random_mlp_spec)
+from conftest import (build_gamma1n_witness, columns_by_recursion,
+                      gamma_entry, random_concrete_net, random_mlp_spec)
 from regionbound import archspec, engine, oracle
 from regionbound.cli import main as cli_main
 from regionbound.gamma import GammaProvider, GammaVariant
@@ -123,7 +123,7 @@ def test_criterion_5_oracle_soundness():
         assert count <= bound
     gp = GammaProvider("ours")
     for n in range(1, 13):
-        rc = oracle.count_regions_1d(oracle.build_gamma1n_witness(n))
+        rc = oracle.count_regions_1d(build_gamma1n_witness(n))
         assert rc.activation_histogram == gamma_entry(gp, 1, n)
 
 

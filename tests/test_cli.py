@@ -1,11 +1,14 @@
 import decimal
+import gc
 import json
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 
-from conftest import gamma_entry, net_to_json, parse_histogram
-from regionbound import archspec, engine, oracle, transfer
+from conftest import (build_gamma1n_witness, gamma_entry, net_to_json,
+                      parse_histogram)
+from regionbound import archspec, engine, transfer
 from regionbound.cli import main
 from regionbound.gamma import GammaProvider
 
@@ -54,6 +57,30 @@ class TestGamma:
         assert res.output == ""
         assert out.read_text() == "(0,0,1)\n(0,2,1)\n(1,2,1)\n"
 
+
+    def test_lines_are_written_as_they_are_made(self, runner, tmp_path):
+        # the column is kept, its text is not: joined, the text took more
+        # memory than the file it makes
+        out = tmp_path / "g.txt"
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = runner.invoke(main, ["gamma", "--variant", "ours",
+                                       "--nprime", "400", "-o", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.exit_code == 0
+        assert peak < out.stat().st_size / 2
+
+    def test_cap_error_writes_nothing(self, runner, tmp_path):
+        out = tmp_path / "g.txt"
+        for extra in ([], ["-o", str(out)]):
+            res = runner.invoke(main, ["--gamma-cap", "4", "gamma",
+                                       "--nprime", "5", *extra])
+            assert res.exit_code == 2
+            assert res.stdout == ""
+        assert not out.exists()
 
 class TestBMatrix:
     def test_golden_column_four(self, runner):
@@ -218,7 +245,7 @@ class TestLongBounds:
 
 class TestOracle:
     def test_witness_ok(self, runner, tmp_path):
-        net = oracle.build_gamma1n_witness(4)
+        net = build_gamma1n_witness(4)
         path = tmp_path / "net.json"
         path.write_text(json.dumps(net_to_json(net)))
         res = runner.invoke(main, ["oracle", str(path)])
@@ -226,7 +253,7 @@ class TestOracle:
         assert res.output == "count=5 bound=5 OK\n"
 
     def test_pattern_method(self, runner, tmp_path):
-        net = oracle.build_gamma1n_witness(3)
+        net = build_gamma1n_witness(3)
         path = tmp_path / "net.json"
         path.write_text(json.dumps(net_to_json(net)))
         res = runner.invoke(main, ["oracle", str(path), "--method", "pattern",

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import tracemalloc
@@ -269,6 +270,45 @@ class TestMaxpoolMemory:
             tracemalloc.stop()
         assert report.bound == gamma_norm(256, 768)
         assert peak < 4 * 2 ** 20
+
+
+CIFAR_NET = {
+    "input": {"channels": 3, "height": 32, "width": 32},
+    "blocks": [
+        {"conv": {"out_channels": 16, "kernel": 3, "stride": 1,
+                  "padding": 1, "relu": True}},
+        {"maxpool": {"window": 2}},
+        {"conv": {"out_channels": 32, "kernel": 3, "stride": 1,
+                  "padding": 1, "relu": True}},
+        {"dense": {"out": 10, "relu": False}}]}
+
+
+class TestWideLayers:
+    """A ReLU stage builds only the leading (d_eff+1)-block of B."""
+
+    def test_cifar_shaped_net_bounds_under_default_cap(self):
+        # n' = 16384 and 8192, far above the cap; d_eff = 3072 is not
+        spec = archspec.parse(CIFAR_NET)
+        ours, serra, ratio = engine.compare(archspec.resolve(spec),
+                                            spec.input_nodes)
+        assert ours.bound == serra.bound
+        assert ratio == "1"
+        assert len(engine.exact(ours.bound)) == 10773
+
+    def test_wide_mlp_is_two_scalings(self):
+        # n' = 4096 >= 3 * 16 - 1, so each layer scales unit(16) by
+        # gamma_norm(16, 4096); all of B took 465 MiB
+        stages = archspec.resolve(archspec.mlp(16, 4096, 2))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = engine.evaluate(stages, "ours", 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.bound == sum(math.comb(4096, s)
+                                   for s in range(17)) ** 2
+        assert peak < 64 * 2 ** 20
 
 
 class TestCompareAndSweep:

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (count_regions_1d_by_fractions, gamma_entry,
-                      json_values, mlp_bound, net_to_json, one_site_broken,
-                      pattern_lower_bound_by_fractions, random_concrete_net,
-                      random_layer, widths)
+from conftest import (build_gamma1n_witness, count_regions_1d_by_fractions,
+                      gamma_entry, json_values, mlp_bound, net_to_json,
+                      one_site_broken, pattern_lower_bound_by_fractions,
+                      random_concrete_net, random_layer, widths)
 from regionbound import archspec, engine, oracle
 from regionbound.gamma import GammaProvider
 from regionbound.histogram import Histogram
 from regionbound.oracle import (ConcreteNet, Layer, OracleError,
-                                build_gamma1n_witness, count_regions_1d,
-                                net_from_json, pattern_lower_bound)
+                                count_regions_1d, net_from_json,
+                                pattern_lower_bound)
 
 F = Fraction
 

@@ -135,18 +135,32 @@ class TestBMatrix:
                 assert (col == unit) == diagonal(j, nprime), (nprime, j)
 
     def test_band_lies_where_the_closed_form_leaves_binomials(self):
+        # the leading m-block keeps exactly the band rows that reach it,
+        # (n'-m)/2 < i < m-1, each from max(i+1, n'-2i) to n'-i, cut at
+        # column m; row 0 is the 1 at column n'
         for nprime in range(1, 131):
-            assert transfer.b_matrix(GammaProvider("serra"), nprime).band \
-                == []
-            b = transfer.b_matrix(GammaProvider("ours"), nprime)
-            assert b.band[0] == (nprime, (1,))
-            for i, (lo, g) in enumerate(b.band):
-                assert max(i + 1, nprime - 2 * i) == lo
-                assert lo + len(g) - 1 == nprime - i
-            assert sum(len(g) for _, g in b.band) <= nprime ** 2 // 12 + nprime
+            for m in range(1, nprime + 2):
+                assert transfer.b_matrix(GammaProvider("serra"), nprime,
+                                         m).band == []
+                b = transfer.b_matrix(GammaProvider("ours"), nprime, m)
+                rows = [i for i in range((nprime + 1) // 2)
+                        if 2 * i > nprime - m and i < m - 1]
+                assert [i for i, _, _ in b.band] == rows, (nprime, m)
+                for i, lo, g in b.band:
+                    assert lo == (nprime if i == 0
+                                  else max(i + 1, nprime - 2 * i))
+                    assert lo + len(g) - 1 == min(nprime - i, m - 1)
+                    assert all(g)
+                if m == nprime + 1:
+                    assert b.band[0] == (0, nprime, (1,))
+                    assert sum(len(g) for _, _, g in b.band) \
+                        <= nprime ** 2 // 12 + nprime
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_products_on_truncated_inputs(self, variant):
+        # B h and B^T w of vectors shorter than the block: B h is the
+        # dense product, and B^T w has len(w) entries, the leading entries
+        # of the dense product with w padded by zeros
         rng = random.Random(17)
         provider = GammaProvider(variant)
 
@@ -156,15 +170,67 @@ class TestBMatrix:
                     for _ in range(length)]
 
         for nprime in [*range(1, 33), 47, 64, 97]:
-            b = transfer.b_matrix(provider, nprime)
             dense_b = ref_b_matrix(provider, nprime)
             dense_bt = [list(col) for col in zip(*dense_b)]
-            for _ in range(6):
-                h = Histogram(draw(rng.randint(0, nprime)))
-                assert len(h) < nprime + 1
-                assert b.apply(h) == Histogram(ref_mat_vec(dense_b, h))
-                w = draw(rng.randint(0, nprime))
-                assert b.transposed(w) == ref_mat_vec(dense_bt, w)
+            for m in {1, nprime // 3 + 1, nprime // 2 + 1, nprime + 1}:
+                b = transfer.b_matrix(GammaProvider(variant), nprime, m)
+                assert b.rows == b.cols == m
+                for _ in range(6):
+                    h = Histogram(draw(rng.randint(0, m)))
+                    assert b.apply(h) == Histogram(ref_mat_vec(dense_b, h))
+                    w = draw(rng.randint(0, m))
+                    assert b.transposed(w) == \
+                        ref_mat_vec(dense_bt, w)[:len(w)]
+                with pytest.raises(ValueError, match="does not fit"):
+                    b.transposed([1] * (m + 1))
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_block_is_leading_block_of_reference(self, variant):
+        for nprime in range(1, 131):
+            dense_b = ref_b_matrix(GammaProvider(variant), nprime)
+            for m in range(1, nprime + 2):
+                b = transfer.b_matrix(GammaProvider(variant), nprime, m)
+                assert b.nprime == nprime
+                assert b._dense_rows() == [row[:m] for row in dense_b[:m]], \
+                    (nprime, m)
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_block_is_diagonal_exactly_in_the_scaling_regime(self, variant):
+        # at d_eff = e the block of order e is diag(gamma_norms(e, n'))
+        # exactly when n' >= 3e - 1 ("ours") or n' >= 2e ("serra"); past
+        # n'/2 + 2 no block is diagonal, since its columns are not
+        scaling = {"ours": lambda e, n: n >= 3 * e - 1,
+                   "serra": lambda e, n: n >= 2 * e}[variant]
+        for nprime in range(1, 131):
+            for e in range(min(nprime, nprime // 2 + 2) + 1):
+                b = transfer.b_matrix(GammaProvider(variant), nprime, e + 1)
+                norms = gamma.gamma_norms(e, nprime)
+                diagonal = b._dense_rows() == [
+                    [x if i == j else 0 for j in range(e + 1)]
+                    for i, x in enumerate(norms)]
+                assert diagonal == scaling(e, nprime), (nprime, e)
+                if diagonal:
+                    assert b.band == []
+                    assert b.diag == norms
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_smaller_block_served_from_larger(self, variant):
+        rng = random.Random(19)
+        for nprime in (9, 12, 20, 40):
+            p = GammaProvider(variant)
+            big = transfer.b_matrix(p, nprime, 9)
+            assert transfer.b_matrix(p, nprime, 5) is big
+            assert big.rows == 9
+            dense = [row[:5] for row in ref_b_matrix(p, nprime)[:5]]
+            dense_t = [list(col) for col in zip(*dense)]
+            w = [rng.randint(0, 10 ** 40) for _ in range(5)]
+            assert big.transposed(w) == ref_mat_vec(dense_t, w)
+            h = Histogram(w)
+            assert big.apply(h) == Histogram(ref_mat_vec(dense, h))
+            # a larger block replaces it and serves every smaller order
+            bigger = transfer.b_matrix(p, nprime, 10)
+            assert bigger is not big and bigger.rows == 10
+            assert transfer.b_matrix(p, nprime, 9) is bigger
 
     def test_built_once_per_provider_and_width(self):
         p, q = GammaProvider("ours"), GammaProvider("ours")
@@ -231,6 +297,18 @@ class TestBMatrix:
         transfer.b_matrix(p, 4)
         with pytest.raises(ColumnCapExceeded):
             transfer.b_matrix(p, 5)
+
+    def test_cap_applies_to_the_block_order(self):
+        p = GammaProvider("ours", cap=4)
+        assert transfer.b_matrix(p, 40, 5).rows == 5
+        with pytest.raises(ColumnCapExceeded,
+                           match=r"n'=40 exceeds cap 4 \(B block of order 5\)"):
+            transfer.b_matrix(p, 40, 6)
+
+    def test_block_size_out_of_range(self):
+        for m in (0, 8):
+            with pytest.raises(ValueError, match="block size"):
+                transfer.b_matrix(GammaProvider("ours"), 6, m)
 
 
 class TestMMatrix:
