@@ -1,9 +1,7 @@
 """Independent ground truth for bound soundness checks.
 
-Exact region counting for 1-input networks by breakpoint propagation, a
-sampling lower bound on activation patterns for any input dimension, and
-the explicit single-layer construction that attains the first-layer
-histogram bound.
+Exact region counting for 1-input networks by breakpoint propagation, and
+a sampling lower bound on activation patterns for any input dimension.
 
 Weights and biases are ``Fraction``s, but both counters run on plain
 integers.  Each call multiplies a layer by L, the lcm of its weight and
@@ -12,15 +10,22 @@ every unit's (slope, intercept) on every interval multiplied by one common
 scale S > 0, the product of the L's so far; the next layer's pair is
 ``(Σ W·L·a, Σ W·L·b + bias·L·S)`` at scale L·S.  Because S is positive and
 the same for every interval and unit, nothing that is compared changes: a
-root is still ``Fraction(-b, a)``, the unit is active at p/q (q > 0) iff
-``a·p + b·q > 0``, a unit crosses zero inside an interval iff its signs at
-the two ends are strictly opposite, and two intervals carry equal scaled
-pairs iff they carry equal rational ones.  The sampler does the same with
-inputs drawn as integers over 10**6.  Only breakpoints stay ``Fraction``s.
+root is still -b/a, the unit is active at p/q (q > 0) iff ``a·p + b·q > 0``,
+a unit crosses zero inside an interval iff its signs at the two ends are
+strictly opposite, and two intervals carry equal scaled pairs iff they
+carry equal rational ones.  The sampler does the same with inputs drawn as
+integers over 10**6.
+
+Breakpoints are integer pairs (p, q) with q > 0 and gcd(p, q) = 1, so equal
+points are equal tuples.  A ReLU layer's new breakpoints are the roots
+strictly inside each interval, so they are spliced into that interval
+alone: a set merges coincident roots, the few of them are sorted by the
+exact key p·(D/q), D the lcm of their q's, and every new sub-interval keeps
+the interval's affine pair.  Each sub-interval's activity is read at the
+midpoint of its ends, again an integer pair; no ``Fraction`` is built.
 """
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import random
@@ -149,38 +154,23 @@ def net_from_json(text: str | dict) -> ConcreteNet:
 
 # -- exact 1-D sweep ------------------------------------------------------------
 
-def _representative(bps: list[Fraction], i: int) -> Fraction:
-    """Interior point of the i-th interval of the line split at bps."""
-    if not bps:
-        return Fraction(0)
-    if i == 0:
-        return bps[0] - 1
-    if i == len(bps):
-        return bps[-1] + 1
-    return (bps[i - 1] + bps[i]) / 2
-
-
-def _split(bps, affs, new_points):
-    """Re-split intervals at additional breakpoints, carrying affines over."""
-    merged = sorted(set(bps) | set(new_points))
-    if merged == bps:
-        return bps, affs
-    out = []
-    for i in range(len(merged) + 1):
-        rep = _representative(merged, i)
-        old = bisect.bisect_right(bps, rep)
-        out.append(affs[old])
-    return merged, out
+def _midpoint(lo: tuple[int, int], hi: tuple[int, int]) -> tuple[int, int]:
+    """Interior point (p, q), q > 0, of the interval between projective ends."""
+    (pl, ql), (ph, qh) = lo, hi
+    if not ql:
+        return (ph - qh, qh) if qh else (0, 1)
+    if not qh:
+        return pl + ql, ql
+    return pl * qh + ph * ql, 2 * ql * qh
 
 
 def _scaled(layer: Layer) -> tuple[int, list[tuple[int, ...]], list[int]]:
     """(L, W·L, bias·L) with L the lcm of the layer's denominators."""
-    lcm = math.lcm(*(x.denominator for row in layer.weights for x in row),
-                   *(x.denominator for x in layer.bias))
-    weights = [tuple(x.numerator * (lcm // x.denominator) for x in row)
-               for row in layer.weights]
-    bias = [x.numerator * (lcm // x.denominator) for x in layer.bias]
-    return lcm, weights, bias
+    rows = [[x.as_integer_ratio() for x in row] for row in layer.weights]
+    bias = [x.as_integer_ratio() for x in layer.bias]
+    lcm = math.lcm(*(q for row in rows for _, q in row), *(q for _, q in bias))
+    weights = [tuple(p * (lcm // q) for p, q in row) for row in rows]
+    return lcm, weights, [p * (lcm // q) for p, q in bias]
 
 
 def count_regions_1d(net: ConcreteNet,
@@ -193,7 +183,10 @@ def count_regions_1d(net: ConcreteNet,
     """
     if net.n0 != 1:
         raise OracleError("1-D oracle only")
-    bps: list[Fraction] = []
+    if domain is not None and domain[0] >= domain[1]:
+        raise OracleError("empty domain")
+    # increasing breakpoints (p, q): q > 0, gcd(p, q) = 1
+    bps: list[tuple[int, int]] = []
     # per interval: (slopes, intercepts) of the current layer's units, all
     # multiplied by the same positive scale
     affs: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((1,), (0,))]
@@ -209,43 +202,42 @@ def count_regions_1d(net: ConcreteNet,
                    for wrow, b in zip(weights, bias)))
             for slopes, icepts in affs
         ]
-        if layer.relu:
-            # interval i runs from ends[i] to ends[i + 1], each a projective
-            # point (p, q) standing for p/q; q = 0 is -inf or +inf.  A unit
-            # crosses zero inside an interval iff its signs at the two ends
-            # are strictly opposite (never when its slope is 0).
-            ends = [(-1, 0)] + [(x.numerator, x.denominator) for x in bps] \
-                + [(1, 0)]
-            crossings = set()
-            for (slopes, icepts), (pl, ql), (ph, qh) in zip(affs, ends,
-                                                           ends[1:]):
-                for a, b in zip(slopes, icepts):
-                    if (a * pl + b * ql) * (a * ph + b * qh) < 0:
-                        crossings.add(Fraction(-b, a))
-            bps, affs = _split(bps, affs, crossings)
-            clamped = []
-            actives = []
-            for i, (slopes, icepts) in enumerate(affs):
-                rep = _representative(bps, i)
-                p, q = rep.numerator, rep.denominator
+        if not layer.relu:
+            continue
+        # interval i runs from ends[i] to ends[i + 1]; q = 0 is -inf or +inf
+        ends = [(-1, 0), *bps, (1, 0)]
+        bps, clamped, actives = [], [], []
+        for (slopes, icepts), lo, hi in zip(affs, ends, ends[1:]):
+            (pl, ql), (ph, qh) = lo, hi
+            roots = set()
+            for a, b in zip(slopes, icepts):
+                # strictly opposite signs at the ends: the root -b/a lies
+                # strictly inside this interval (never when a = 0)
+                if (a * pl + b * ql) * (a * ph + b * qh) < 0:
+                    g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
+                    roots.add((-b // g, a // g))
+            d = math.lcm(*(q for _, q in roots))
+            pts = [lo, *sorted(roots, key=lambda r: r[0] * (d // r[1])), hi]
+            bps += pts[1:]
+            for end0, end1 in zip(pts, pts[1:]):
+                p, q = _midpoint(end0, end1)
                 active = [a * p + b * q > 0 for a, b in zip(slopes, icepts)]
                 actives.append(sum(active))
                 clamped.append(
                     (tuple(a if on else 0 for a, on in zip(slopes, active)),
                      tuple(b if on else 0 for b, on in zip(icepts, active))))
-            affs = clamped
-            if li == 0:
-                counts = [0] * (max(actives) + 1)
-                for s in actives:
-                    counts[s] += 1
-                first_layer_hist = Histogram(counts)
+        bps.pop()  # +inf
+        affs = clamped
+        if li == 0:
+            counts = [0] * (max(actives) + 1)
+            for s in actives:
+                counts[s] += 1
+            first_layer_hist = Histogram(counts)
     if domain is not None:
-        lo, hi = domain
-        if lo >= hi:
-            raise OracleError("empty domain")
-        keep = [i for i in range(len(bps) + 1)
-                if (i == 0 or bps[i - 1] < hi) and (i == len(bps) or bps[i] > lo)]
-        affs = [affs[i] for i in keep]
+        (lp, lq), (hp, hq) = (x.as_integer_ratio() for x in domain)
+        affs = [aff for i, aff in enumerate(affs)
+                if (i == 0 or bps[i - 1][0] * hq < hp * bps[i - 1][1])
+                and (i == len(bps) or bps[i][0] * lq > lp * bps[i][1])]
     count = 1
     for prev, cur in zip(affs, affs[1:]):
         if prev != cur:

@@ -1,3 +1,4 @@
+import bisect
 import random
 from fractions import Fraction
 
@@ -169,7 +170,33 @@ def random_concrete_net(rng: random.Random, n0=1, max_width=8, max_depth=3):
 # -- Fraction reference for the oracle ------------------------------------------
 #
 # The exact 1-D sweep and the pattern sampler in plain Fraction arithmetic:
-# what the scaled-integer oracle must reproduce exactly.
+# what the scaled-integer oracle must reproduce exactly.  The sweep is the
+# old global one (one sorted merge of all breakpoints, mapped back by
+# bisect) and shares no code with the oracle.
+
+
+def _representative(bps: list[Fraction], i: int) -> Fraction:
+    """Interior point of the i-th interval of the line split at bps."""
+    if not bps:
+        return Fraction(0)
+    if i == 0:
+        return bps[0] - 1
+    if i == len(bps):
+        return bps[-1] + 1
+    return (bps[i - 1] + bps[i]) / 2
+
+
+def _split(bps, affs, new_points):
+    """Re-split intervals at additional breakpoints, carrying affines over."""
+    merged = sorted(set(bps) | set(new_points))
+    if merged == bps:
+        return bps, affs
+    out = []
+    for i in range(len(merged) + 1):
+        rep = _representative(merged, i)
+        old = bisect.bisect_right(bps, rep)
+        out.append(affs[old])
+    return merged, out
 
 
 def count_regions_1d_by_fractions(net: oracle.ConcreteNet, domain=None
@@ -198,11 +225,11 @@ def count_regions_1d_by_fractions(net: oracle.ConcreteNet, domain=None
                     root = -b / a
                     if (lo is None or root > lo) and (hi is None or root < hi):
                         crossings.add(root)
-            bps, affs = oracle._split(bps, affs, crossings)
+            bps, affs = _split(bps, affs, crossings)
             clamped = []
             actives = []
             for i, units in enumerate(affs):
-                rep = oracle._representative(bps, i)
+                rep = _representative(bps, i)
                 active = tuple(a * rep + b > 0 for a, b in units)
                 actives.append(sum(active))
                 clamped.append(tuple(

@@ -366,3 +366,98 @@ class TestFractionReference:
             assert count_regions_1d(net, domain) == \
                 count_regions_1d_by_fractions(net, domain)
         assert min(seen.values()) >= 60, seen
+
+
+def float_tie_net(numerator: int) -> dict:
+    """Net whose first layer has roots 1/3 (twice: x - 1/3 and its rescaled
+    duplicate 3x - 1), numerator/10**18 and 1/2."""
+    return {
+        "input": 1,
+        "layers": [
+            {"weights": [["1"], ["1"], ["3"], ["-1"]],
+             "bias": ["-1/3", f"-{numerator}/{10 ** 18}", "-1", "1/2"],
+             "relu": True},
+            {"weights": [["1", "-2", "1", "1"], ["-1", "1", "0", "2"]],
+             "bias": ["0", "-1/7"], "relu": True},
+            {"weights": [["1", "-3"]], "bias": ["0"], "relu": False},
+        ],
+    }
+
+
+# numerators of roots just below and just above 1/3 that equal it as floats
+FLOAT_TIE_BELOW = 333333333333333333
+FLOAT_TIE_ABOVE = 333333333333333334
+
+
+def oracle_1d_shaped_net(rng: random.Random) -> ConcreteNet:
+    """Net of the benchmark's oracle_1d shape: width 4-16, depth 1-4, every
+    weight p/q with 0 < |p| <= 9 and 1 <= q <= 9, and a linear readout."""
+    def rational():
+        return F(rng.choice([p for p in range(-9, 10) if p]), rng.randint(1, 9))
+
+    width, depth = rng.randint(4, 16), rng.randint(1, 4)
+    layers, d = [], 1
+    for _ in range(depth):
+        layers.append(Layer(
+            tuple(tuple(rational() for _ in range(d)) for _ in range(width)),
+            tuple(rational() for _ in range(width)), True))
+        d = width
+    layers.append(Layer((tuple(rational() for _ in range(d)),), (rational(),),
+                        False))
+    return ConcreteNet(1, tuple(layers))
+
+
+class TestExactness:
+    """Breakpoints that floats cannot tell apart, domains that end on
+    breakpoints, and nets of the benchmark's shape, against the reference."""
+
+    @pytest.mark.parametrize("numerator, histogram", [
+        (FLOAT_TIE_BELOW, (0, 1, 1, 1, 1)),
+        (FLOAT_TIE_ABOVE, (0, 1, 0, 2, 1)),
+    ])
+    def test_roots_equal_as_floats_stay_apart(self, numerator, histogram):
+        assert float(F(numerator, 10 ** 18)) == 1 / 3
+        net = net_from_json(float_tie_net(numerator))
+        got = count_regions_1d(net)
+        assert got.count == 5
+        assert got.activation_histogram == Histogram(histogram)
+        assert got == count_regions_1d_by_fractions(net)
+
+    @pytest.mark.parametrize("numerator, domain, count", [
+        (FLOAT_TIE_BELOW, (F(FLOAT_TIE_BELOW, 10 ** 18), F(1, 3)), 1),
+        (FLOAT_TIE_BELOW, (F(1, 3), F(1, 2)), 2),
+        (FLOAT_TIE_BELOW, (F(FLOAT_TIE_BELOW, 10 ** 18), F(1, 2)), 3),
+        (FLOAT_TIE_BELOW, (F(-1), F(FLOAT_TIE_BELOW, 10 ** 18)), 1),
+        (FLOAT_TIE_BELOW, (F(1, 2), F(2)), 1),
+        (FLOAT_TIE_BELOW, (F(-1), F(2)), 5),
+        (FLOAT_TIE_ABOVE, (F(1, 3), F(FLOAT_TIE_ABOVE, 10 ** 18)), 1),
+        (FLOAT_TIE_ABOVE, (F(FLOAT_TIE_ABOVE, 10 ** 18), F(1, 2)), 2),
+        (FLOAT_TIE_ABOVE, (F(1, 3), F(1, 2)), 3),
+    ])
+    def test_domain_ends_on_breakpoints(self, numerator, domain, count):
+        net = net_from_json(float_tie_net(numerator))
+        got = count_regions_1d(net, domain)
+        assert got.count == count
+        assert got == count_regions_1d_by_fractions(net, domain)
+
+    @pytest.mark.parametrize("domain", [(F(1), F(1)), (F(2), F(1, 2))])
+    def test_empty_domain(self, domain):
+        net = net_from_json(float_tie_net(FLOAT_TIE_BELOW))
+        with pytest.raises(OracleError, match="empty domain"):
+            count_regions_1d(net, domain)
+
+    def test_benchmark_shaped_nets_match_reference(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            net = oracle_1d_shaped_net(rng)
+            assert count_regions_1d(net) == count_regions_1d_by_fractions(net)
+            lo = F(rng.randint(-40, 40), rng.randint(1, 4))
+            domain = (lo, lo + F(rng.randint(1, 40), rng.randint(1, 4)))
+            assert count_regions_1d(net, domain) == \
+                count_regions_1d_by_fractions(net, domain)
+            # two first-layer breakpoints as the domain's ends
+            roots = sorted({-b / w for (w,), b in zip(net.layers[0].weights,
+                                                     net.layers[0].bias)})
+            domain = (roots[0], roots[-1])
+            assert count_regions_1d(net, domain) == \
+                count_regions_1d_by_fractions(net, domain)
