@@ -19,10 +19,17 @@ integers over 10**6.
 Breakpoints are integer pairs (p, q) with q > 0 and gcd(p, q) = 1, so equal
 points are equal tuples.  A ReLU layer's new breakpoints are the roots
 strictly inside each interval, so they are spliced into that interval
-alone: a set merges coincident roots, the few of them are sorted by the
-exact key p·(D/q), D the lcm of their q's, and every new sub-interval keeps
-the interval's affine pair.  Each sub-interval's activity is read at the
-midpoint of its ends, again an integer pair; no ``Fraction`` is built.
+alone: a dict maps each root to its units (coincident units merge), and
+the roots are sorted by the exact key p·(D/q), D the lcm of their q's.
+Activity is read once per interval, at the integer midpoint of its first
+sub-interval; no ``Fraction`` is built.  Each unit is affine on the
+interval with its root strictly inside, so it changes sign exactly once,
+there: it turns on if its slope is positive and off otherwise.  Only the
+first sub-interval keeps its clamped pair and pays the full product with
+the next layer's W; each later one is stored as its flips (u, ±a, ±b), and
+the next layer adds ±(a, b)·W[:, u] per flip to its left neighbour's
+result.  All pairs share one positive scale, so that sum is exactly the
+full product's pair.
 """
 from __future__ import annotations
 
@@ -173,6 +180,31 @@ def _scaled(layer: Layer) -> tuple[int, list[tuple[int, ...]], list[int]]:
     return lcm, weights, [p * (lcm // q) for p, q in bias]
 
 
+def _map(weights: list[tuple[int, ...]], bias: list[int], pieces: list
+         ) -> list[tuple[list[int], list[int]]]:
+    """Every interval's next-layer pair (W·slopes, W·intercepts + bias).
+
+    A piece is an interval's (slopes, intercepts), or the list of flips
+    (u, da, db) that add (da, db) to unit u of its left neighbour's pair;
+    each flip adds (da, db)·W[:, u] to the neighbour's result.
+    """
+    cols = list(zip(*weights))
+    out = []
+    for piece in pieces:
+        if type(piece) is list:
+            slopes, icepts = out[-1]
+            for u, da, db in piece:
+                col = cols[u]
+                slopes = [s + w * da for s, w in zip(slopes, col)]
+                icepts = [c + w * db for c, w in zip(icepts, col)]
+        else:
+            slopes = [sum(map(mul, wrow, piece[0])) for wrow in weights]
+            icepts = [sum(map(mul, wrow, piece[1])) + b
+                      for wrow, b in zip(weights, bias)]
+        out.append((slopes, icepts))
+    return out
+
+
 def count_regions_1d(net: ConcreteNet,
                      domain: tuple[Fraction, Fraction] | None = None
                      ) -> RegionCount:
@@ -187,59 +219,63 @@ def count_regions_1d(net: ConcreteNet,
         raise OracleError("empty domain")
     # increasing breakpoints (p, q): q > 0, gcd(p, q) = 1
     bps: list[tuple[int, int]] = []
-    # per interval: (slopes, intercepts) of the current layer's units, all
-    # multiplied by the same positive scale
-    affs: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((1,), (0,))]
+    # one piece per interval (see _map); all pairs share one positive scale
+    pieces: list = [([1], [0])]
     scale = 1
     first_layer_hist: Histogram | None = None
     for li, layer in enumerate(net.layers):
         lcm, weights, bias = _scaled(layer)
         bias = [b * scale for b in bias]
         scale *= lcm
-        affs = [
-            (tuple(sum(map(mul, wrow, slopes)) for wrow in weights),
-             tuple(sum(map(mul, wrow, icepts)) + b
-                   for wrow, b in zip(weights, bias)))
-            for slopes, icepts in affs
-        ]
+        pairs = _map(weights, bias, pieces)
         if not layer.relu:
+            pieces = pairs
             continue
         # interval i runs from ends[i] to ends[i + 1]; q = 0 is -inf or +inf
         ends = [(-1, 0), *bps, (1, 0)]
-        bps, clamped, actives = [], [], []
-        for (slopes, icepts), lo, hi in zip(affs, ends, ends[1:]):
+        bps, pieces, actives = [], [], []
+        for (slopes, icepts), lo, hi in zip(pairs, ends, ends[1:]):
             (pl, ql), (ph, qh) = lo, hi
-            roots = set()
-            for a, b in zip(slopes, icepts):
+            roots: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+            for u, (a, b) in enumerate(zip(slopes, icepts)):
                 # strictly opposite signs at the ends: the root -b/a lies
                 # strictly inside this interval (never when a = 0)
                 if (a * pl + b * ql) * (a * ph + b * qh) < 0:
                     g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
-                    roots.add((-b // g, a // g))
+                    # its flip there: the unit turns on iff a > 0
+                    roots.setdefault((-b // g, a // g), []).append(
+                        (u, a, b) if a > 0 else (u, -a, -b))
             d = math.lcm(*(q for _, q in roots))
-            pts = [lo, *sorted(roots, key=lambda r: r[0] * (d // r[1])), hi]
-            bps += pts[1:]
-            for end0, end1 in zip(pts, pts[1:]):
-                p, q = _midpoint(end0, end1)
-                active = [a * p + b * q > 0 for a, b in zip(slopes, icepts)]
-                actives.append(sum(active))
-                clamped.append(
-                    (tuple(a if on else 0 for a, on in zip(slopes, active)),
-                     tuple(b if on else 0 for b, on in zip(icepts, active))))
+            order = sorted(roots, key=lambda r: r[0] * (d // r[1]))
+            p, q = _midpoint(lo, order[0] if order else hi)
+            active = [a * p + b * q > 0 for a, b in zip(slopes, icepts)]
+            n_active = sum(active)
+            actives.append(n_active)
+            pieces.append(([a if on else 0 for a, on in zip(slopes, active)],
+                           [b if on else 0 for b, on in zip(icepts, active)]))
+            for root in order:
+                pieces.append(roots[root])
+                n_active += sum(1 if slopes[u] > 0 else -1
+                                for u, _, _ in roots[root])
+                actives.append(n_active)
+            bps += order
+            bps.append(hi)
         bps.pop()  # +inf
-        affs = clamped
         if li == 0:
-            counts = [0] * (max(actives) + 1)
-            for s in actives:
-                counts[s] += 1
-            first_layer_hist = Histogram(counts)
+            first_layer_hist = Histogram(actives.count(j)
+                                         for j in range(max(actives) + 1))
+    if net.layers and net.layers[-1].relu:
+        # the identity map turns the flips back into full pairs
+        w = net.layers[-1].n_out
+        pieces = _map([tuple(int(r == c) for c in range(w)) for r in range(w)],
+                      [0] * w, pieces)
     if domain is not None:
         (lp, lq), (hp, hq) = (x.as_integer_ratio() for x in domain)
-        affs = [aff for i, aff in enumerate(affs)
-                if (i == 0 or bps[i - 1][0] * hq < hp * bps[i - 1][1])
-                and (i == len(bps) or bps[i][0] * lq > lp * bps[i][1])]
+        pieces = [piece for i, piece in enumerate(pieces)
+                  if (i == 0 or bps[i - 1][0] * hq < hp * bps[i - 1][1])
+                  and (i == len(bps) or bps[i][0] * lq > lp * bps[i][1])]
     count = 1
-    for prev, cur in zip(affs, affs[1:]):
+    for prev, cur in zip(pieces, pieces[1:]):
         if prev != cur:
             count += 1
     return RegionCount(count, "sweep1d", exact=True,

@@ -101,6 +101,27 @@ def build_gamma1n_witness(n: int) -> oracle.ConcreteNet:
                                                True),))
 
 
+def layer_of(rows, bias, relu=True) -> oracle.Layer:
+    """Layer from rows of weights and a bias, each entry anything that
+    ``Fraction`` reads."""
+    return oracle.Layer(tuple(tuple(Fraction(x) for x in row) for row in rows),
+                        tuple(Fraction(b) for b in bias), relu)
+
+
+def tent_net(depth: int) -> oracle.ConcreteNet:
+    """Folding net of ``depth`` >= 1 ReLU layers of two units on one input.
+
+    The first layer is relu(x), relu(x - 1/2); every later layer applies
+    weights (2, -4) and biases (0, -1/2) to both units, and the readout is
+    2·h1 - 4·h2.  It has 3 regions at depth 1 and 2^depth + 2 at depths
+    2..12, and its first-layer activation histogram is (1, 1, 1).
+    """
+    layers = [layer_of([[1], [1]], [0, "-1/2"])]
+    layers += [layer_of([[2, -4], [2, -4]], [0, "-1/2"])] * (depth - 1)
+    layers.append(layer_of([[2, -4]], [0], relu=False))
+    return oracle.ConcreteNet(1, tuple(layers))
+
+
 def serra_first_layer_gamma(n: int) -> Histogram:
     """Serra seed for one input dimension: (0,...,0,n,1)."""
     return Histogram((0,) * (n - 1) + (n, 1))

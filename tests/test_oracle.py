@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (build_gamma1n_witness, count_regions_1d_by_fractions,
-                      gamma_entry, json_values, mlp_bound, net_to_json,
-                      one_site_broken, pattern_lower_bound_by_fractions,
-                      random_concrete_net, random_layer, widths)
+                      gamma_entry, json_values, layer_of, mlp_bound,
+                      net_to_json, one_site_broken,
+                      pattern_lower_bound_by_fractions, random_concrete_net,
+                      random_layer, tent_net, widths)
 from regionbound import archspec, engine, oracle
 from regionbound.gamma import GammaProvider
 from regionbound.histogram import Histogram
@@ -461,3 +462,103 @@ class TestExactness:
             domain = (roots[0], roots[-1])
             assert count_regions_1d(net, domain) == \
                 count_regions_1d_by_fractions(net, domain)
+
+
+# no domain, and three that cut each of the nets below somewhere different
+FLIP_DOMAINS = [None, (F(-1), F(1)), (F(0), F(3, 2)), (F(1, 2), F(6))]
+
+
+class TestFlips:
+    """Units that flip at a root shared with other units, nets that end on a
+    ReLU layer, and ReLU layers after a linear one, against the reference."""
+
+    def check(self, net, domain, counts):
+        got = count_regions_1d(net, domain)
+        assert got == count_regions_1d_by_fractions(net, domain)
+        assert got.count == counts[FLIP_DOMAINS.index(domain)]
+        return got
+
+    @pytest.mark.parametrize("domain", FLIP_DOMAINS)
+    def test_shared_root_opposite_slopes(self, domain):
+        # x - 1 turns on at 1 where -2x + 2 turns off; x + 1 turns on at -1
+        net = ConcreteNet(1, (
+            layer_of([[1], [-2], [1]], [-1, 2, 1]),
+            layer_of([[-1, -2, 1], [-2, 2, 2]], [1, 2]),
+            layer_of([[-1, -3]], [0], relu=False)))
+        got = self.check(net, domain, [4, 2, 3, 2])
+        assert got.activation_histogram == Histogram((0, 1, 2))
+
+    @pytest.mark.parametrize("domain", FLIP_DOMAINS)
+    def test_three_units_share_a_root(self, domain):
+        # x and 3x turn on at 0 where -x turns off; x - 2 turns on at 2
+        net = ConcreteNet(1, (
+            layer_of([[1], [-1], [3], [1]], [0, 0, 0, -2]),
+            layer_of([[1, 2, -1, 1], [-1, 1, 1, -2]], ["-1/2", 1]),
+            layer_of([[2, 1]], [0], relu=False)))
+        got = self.check(net, domain, [4, 3, 1, 2])
+        assert got.activation_histogram == Histogram((0, 1, 1, 1))
+
+    @pytest.mark.parametrize("domain", FLIP_DOMAINS)
+    def test_ends_on_relu_layer(self, domain):
+        # the second layer ignores x - 5, so its pieces on either side of 5
+        # are equal: one of them a full pair, the other a flip
+        net = ConcreteNet(1, (
+            layer_of([[1], [-1], [2], [1]], [0, 1, -3, -5]),
+            layer_of([[1, 1, -1, 0], [-1, 2, 1, 0]], ["-1/2", 0])))
+        got = self.check(net, domain, [7, 3, 3, 6])
+        assert got.activation_histogram == Histogram((0, 2, 2, 1))
+
+    @pytest.mark.parametrize("domain", FLIP_DOMAINS)
+    def test_relu_after_linear_layer(self, domain):
+        net = ConcreteNet(1, (
+            layer_of([[1], [-1], [2]], [0, 1, -3]),
+            layer_of([[1, -1, 1], [2, 1, -1]], ["1/2", -1], relu=False),
+            layer_of([[1, 1], [1, -1], [-1, 2]], [0, "-1/2", 1]),
+            layer_of([[1, 2, -1]], [0], relu=False)))
+        self.check(net, domain, [7, 3, 3, 5])
+
+
+@st.composite
+def small_step_nets(draw):
+    """1-D net with weights in {±1, ±2} and biases in {0, ±1/2, ±1}, so that
+    units share roots and neighbouring pieces are often equal; any layer,
+    the last included, may be linear or ReLU."""
+    weight = st.sampled_from([F(-2), F(-1), F(1), F(2)])
+    bias = st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 2), F(1)])
+    layers, d = [], 1
+    for _ in range(draw(st.integers(1, 4))):
+        width = draw(st.integers(1, 4))
+        rows = tuple(tuple(draw(weight) for _ in range(d))
+                     for _ in range(width))
+        layers.append(Layer(rows, tuple(draw(bias) for _ in range(width)),
+                            draw(st.booleans())))
+        d = width
+    return ConcreteNet(1, tuple(layers))
+
+
+quarters = st.integers(-12, 12).map(lambda k: F(k, 4))
+
+
+class TestSmallStepNets:
+    @settings(max_examples=300, deadline=None)
+    @given(small_step_nets(), st.none() | st.tuples(quarters, quarters))
+    def test_matches_reference(self, net, domain):
+        if domain is not None and domain[0] >= domain[1]:
+            domain = None
+        assert count_regions_1d(net, domain) == \
+            count_regions_1d_by_fractions(net, domain)
+
+
+class TestTentNet:
+    """The folding net of ``conftest.tent_net``."""
+
+    @pytest.mark.parametrize("depth", range(1, 13))
+    def test_counts(self, depth):
+        got = count_regions_1d(tent_net(depth))
+        assert got.count == (3 if depth == 1 else 2 ** depth + 2)
+        assert got.activation_histogram == Histogram((1, 1, 1))
+
+    @pytest.mark.parametrize("depth", range(1, 8))
+    def test_matches_reference(self, depth):
+        net = tent_net(depth)
+        assert count_regions_1d(net) == count_regions_1d_by_fractions(net)
