@@ -20,33 +20,68 @@ Each primitive also applies its transpose on d_eff + 1 entries: clip(k)
 maps w to v[i] = w[min(i, k)], a scaling is its own transpose and B^T
 takes one dot product per column.  So f is 1^T M_L ... M_1, found by one
 transposed pass over the body from the all-ones vector; a nested skip is
-one more scaling.  Bodies run through the same maps as top-level stages.
-A ReLU stage reads only the leading (min(d_eff, n_out) + 1)-block of B,
-which is diagonal, a scaling, in the regime the ``regionbound.transfer``
-docstring states.  The gamma provider keeps one block per width, so a
-provider passed to repeated ``evaluate`` calls shares them.  All
+one more scaling.  The bound is the same pass, <w, h_1> with
+h_1 = M_1 unit(n0) and w = 1^T M_L ... M_2, and both ends are cheap:
+B on c*unit(j) is c times column j of B, clip(gamma(j, n_out), j),
+which ``gamma.b_column`` builds in O(j) steps; B^T on all ones is B's
+column sums, gamma_norm(j, n_out), since B's diagonal is defined as
+gamma_norm minus the column's off-diagonal sum.  Any other product reads
+the leading (min(d_eff, n_out) + 1)-block of B, which is diagonal, a
+scaling, in the regime the ``regionbound.transfer`` docstring states.
+A ReLU stage checks that block's order against the provider's cap when
+its map is built and fetches the block only for such a product, so an
+MLP of depth k forms block products in its k - 2 middle stages only.
+The gamma provider keeps one block per width, so a provider passed to
+repeated ``evaluate`` calls shares them.  ``BoundReport.per_stage`` is
+the forward pass over the same maps, run on first access.  All
 arithmetic is exact.
 """
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, partial
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import transfer
 from .archspec import ResolvedStage, mlp, resolve
 from .gamma import (DEFAULT_COLUMN_CAP, GammaProvider, GammaVariant,
-                    gamma_norms)
+                    b_column, gamma_norms)
 from .histogram import Histogram
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundReport:
+    """An exact bound and its variant.  ``per_stage``, the histogram after
+    every top-level stage, and ``scientific``, the rendered bound, are
+    computed on first access, ``per_stage`` by the forward pass over the
+    maps that gave the bound."""
+
     bound: int
     variant: GammaVariant
-    per_stage: tuple[tuple[str, Histogram], ...]
-    scientific: str
+    _forward: tuple = field(repr=False)  # stages, maps, n0, digits
+
+    @cached_property
+    def per_stage(self) -> tuple[tuple[str, Histogram], ...]:
+        stages, maps, n0, _ = self._forward
+        h = Histogram.unit(n0)
+        out = []
+        for stage, f in zip(stages, maps):
+            h = f(h)
+            out.append((stage.label or stage.kind, h))
+        return tuple(out)
+
+    @cached_property
+    def scientific(self) -> str:
+        return scientific(self.bound, self._forward[3])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BoundReport):
+            return NotImplemented
+        return all(getattr(self, a) == getattr(other, a) for a in
+                   ("bound", "variant", "scientific", "per_stage"))
 
 
 def scientific(n: int, digits: int = 4) -> str:
@@ -123,6 +158,31 @@ class _Scale:
         return [x * f for x, f in zip(w, self.factors)]
 
 
+class _ReLU:
+    """B for n' hyperplanes on histograms with mass at indices up to k,
+    which fetches its block only for a real product (see above)."""
+
+    __slots__ = ("nprime", "ours", "block")
+
+    def __init__(self, provider: GammaProvider, nprime: int, k: int):
+        provider.check(nprime, k)  # the block's order, as if it were built
+        self.nprime = nprime
+        self.ours = provider.variant is GammaVariant.OURS
+        self.block = partial(transfer.b_matrix, provider, nprime, k + 1)
+
+    def apply(self, h: Histogram) -> Histogram:
+        hs = h.entries
+        if hs.count(0) == len(hs) - 1:  # c*unit(j): trailing zeros are cut
+            col = b_column(self.nprime, self.ours, len(hs) - 1)
+            return Histogram([hs[-1] * x for x in col])
+        return self.block().apply(h)
+
+    def transposed(self, w: list[int]) -> list[int]:
+        if w.count(1) == len(w):  # the column sums
+            return gamma_norms(len(w) - 1, self.nprime)
+        return self.block().transposed(w)
+
+
 class _StageMap:
     """The primitives of one stage, applied in order."""
 
@@ -148,8 +208,7 @@ def _stage_map(stage: ResolvedStage, e: int, provider: GammaProvider,
     if stage.kind == "dense" and stage.relu:
         n_out = stage.n_out
         k = min(e, n_out)
-        return (_StageMap(_Clip(n_out, e), transfer.b_matrix(provider, n_out,
-                                                             k + 1)), k)
+        return _StageMap(_Clip(n_out, e), _ReLU(provider, n_out, k)), k
     if stage.kind in ("dense", "linear"):
         # clip to the rank (at most n_out without a ReLU, which makes no
         # cuts); embedding into n_out dimensions is a no-op
@@ -173,10 +232,7 @@ def _stage_map(stage: ResolvedStage, e: int, provider: GammaProvider,
         # j-dimensional region; concatenating or adding the input back
         # restores each region's dimension to j
         body, body_e = _stage_maps(stage.body, e, provider, halved_c)
-        factors = [1] * (body_e + 1)
-        for f in reversed(body):
-            factors = f.transposed(factors)
-        return _StageMap(_Scale(factors)), e
+        return _StageMap(_Scale(_column_sums(body, body_e))), e
     raise ValueError(f"unknown stage kind '{stage.kind}'")
 
 
@@ -188,6 +244,15 @@ def _stage_maps(stages: Sequence[ResolvedStage], e: int,
         f, e = _stage_map(stage, e, provider, halved_c)
         maps.append(f)
     return maps, e
+
+
+def _column_sums(maps: Sequence[_StageMap], e: int) -> list[int]:
+    """1^T M_L ... M_1 for the maps M_1..M_L, which end at d_eff = e: the
+    transposed pass from the all-ones vector."""
+    w = [1] * (e + 1)
+    for f in reversed(maps):
+        w = f.transposed(w)
+    return w
 
 
 def evaluate(stages: Sequence[ResolvedStage], variant: GammaVariant | str,
@@ -202,15 +267,10 @@ def evaluate(stages: Sequence[ResolvedStage], variant: GammaVariant | str,
         provider = GammaProvider(variant)
     elif provider.variant is not variant:
         raise ValueError("provider variant does not match requested variant")
-    maps, _ = _stage_maps(stages, n0, provider, halved_c)
-    h = Histogram.unit(n0)
-    per_stage: list[tuple[str, Histogram]] = []
-    for stage, f in zip(stages, maps):
-        h = f(h)
-        per_stage.append((stage.label or stage.kind, h))
-    bound = h.l1()
-    return BoundReport(bound, variant, tuple(per_stage),
-                       scientific(bound, digits))
+    maps, e = _stage_maps(stages, n0, provider, halved_c)
+    h = maps[0](Histogram.unit(n0)) if maps else Histogram.unit(n0)
+    bound = sum(map(mul, _column_sums(maps[1:], e), h.entries))
+    return BoundReport(bound, variant, (tuple(stages), maps, n0, digits))
 
 
 def compare(stages: Sequence[ResolvedStage], n0: int, *,

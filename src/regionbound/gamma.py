@@ -106,23 +106,39 @@ def _binomial_row(norms: list[int]) -> list[int]:
     return [1] + [b - a for a, b in zip(norms, norms[1:])]
 
 
-def _ours_lower(n: int, nprime: int) -> list[int]:
+def _ours_lower(n: int, nprime: int, stop: int | None = None) -> list[int]:
     """Entries 0..k of the "ours" gamma(n, nprime), 2 <= n <= nprime,
-    k = nprime - n (see the module docstring).
+    k = nprime - n (see the module docstring), or only the first ``stop``.
 
     Entry i is 0 where s = 2i - k < 0, else t*(2a-n+3)/(n-1) with
     a = n-2+s and t = C(a, n-2); t starts from one ``math.comb`` and
     steps C(a+2, n-2) = t*(a+1)*(a+2) / ((a-n+3)*(a-n+4)) exactly.
     """
     k = nprime - n
-    entries = [0] * ((k + 1) // 2)
+    count = k + 1 if stop is None else min(stop, k + 1)
+    entries = [0] * min((k + 1) // 2, count)
     a = n - 2 + k % 2
     t = comb(a, n - 2)
-    for _ in range(k // 2 + 1):
+    for _ in range(count - len(entries)):
         entries.append(t * (2 * a - n + 3) // (n - 1))
         t = t * ((a + 1) * (a + 2)) // ((a - n + 3) * (a - n + 4))
         a += 2
     return entries
+
+
+def b_column(nprime: int, ours: bool, j: int) -> list[int]:
+    """Column j of the ReLU-layer B matrix, clip(gamma(j, nprime), j),
+    0 <= j <= nprime: entries i < j of gamma(j, nprime), then their sum
+    taken from gamma_norm(j, nprime); O(j) big-int steps, no block."""
+    norms = gamma_norms(j, nprime)
+    row, k = _binomial_row(norms), nprime - j  # row: C(nprime, 0..j)
+    if not ours:
+        off = [0] * min(k, j) + row[k:j]
+    elif j >= 2:
+        off = _ours_lower(j, nprime, j) + row[k + 1:j]
+    else:  # gamma(0, nprime) = unit(nprime); gamma(1, nprime) is the seed
+        off = [first_layer_gamma(nprime)[0]][:j]
+    return off + [norms[-1] - sum(off)]
 
 
 def _b_matrix(nprime: int, ours: bool, m: int) -> BMatrix:
@@ -186,7 +202,9 @@ class GammaProvider:
         self._b_matrices: dict[int, BMatrix] = {}
         self._lock = threading.Lock()
 
-    def _check(self, nprime: int, order: int) -> None:
+    def check(self, nprime: int, order: int) -> None:
+        """Raise ``ColumnCapExceeded`` if what a layer of nprime
+        hyperplanes builds at this order exceeds the cap."""
         if nprime < 1:
             raise ValueError("no hyperplanes")
         if order > self.cap:
@@ -194,7 +212,7 @@ class GammaProvider:
 
     def column(self, nprime: int) -> tuple[Histogram, ...]:
         """All gamma(n, nprime) for n = 0..nprime."""
-        self._check(nprime, nprime)
+        self.check(nprime, nprime)
         row = _binomial_row(gamma_norms(nprime, nprime))
         if self.variant is GammaVariant.SERRA:
             return tuple(Histogram([0] * (nprime - n) + row[nprime - n:])
@@ -211,7 +229,7 @@ class GammaProvider:
         b = self._b_matrices.get(nprime)
         if b is not None and b.rows >= m:
             return b
-        self._check(nprime, m - 1)
+        self.check(nprime, m - 1)
         with self._lock:
             b = self._b_matrices.get(nprime)
             if b is None or b.rows < m:

@@ -446,6 +446,19 @@ def reference_per_stage(stages, variant, n0, halved_c=False):
     return tuple(out)
 
 
+class CountingProvider(GammaProvider):
+    """A gamma provider that records (n', m) of every block of B asked of
+    it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fetches: list[tuple[int, int]] = []
+
+    def b_matrix(self, nprime: int, m: int):
+        self.fetches.append((nprime, m))
+        return super().b_matrix(nprime, m)
+
+
 def random_stage_tree(rng: random.Random, d: int, depth: int = 3,
                       max_len: int = 3, max_width: int = 6):
     """Random stage list at input width d with nested skip/residual bodies.

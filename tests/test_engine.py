@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (mlp_bound, random_mlp_spec, random_stage_tree,
-                      reference_per_stage)
+from conftest import (CountingProvider, mlp_bound, random_mlp_spec,
+                      random_stage_tree, reference_per_stage)
 from regionbound import archspec, engine
 from regionbound.archspec import ResolvedStage
-from regionbound.gamma import GammaProvider, gamma_norm
+from regionbound.gamma import ColumnCapExceeded, GammaProvider, gamma_norm
 from regionbound.histogram import Histogram
 
 
@@ -270,6 +270,74 @@ class TestMaxpoolMemory:
             tracemalloc.stop()
         assert report.bound == gamma_norm(256, 768)
         assert peak < 4 * 2 ** 20
+
+
+class TestBothEnds:
+    """The bound is <w, h_1>: h_1 is the first stage's map on unit(n0), w
+    the transposed pass of the other stages from all ones.  per_stage is
+    the forward pass over the same maps, run on first access."""
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_bound_is_the_forward_mass(self, variant):
+        rng = random.Random(79)
+        first = set()
+        for _ in range(60):
+            n0 = rng.randint(1, 5)
+            stages, _ = random_stage_tree(rng, n0)
+            first.add((stages[0].kind, stages[0].relu))
+            for halved_c in (False, True):
+                report = engine.evaluate(stages, variant, n0,
+                                         halved_c=halved_c)
+                ref = reference_per_stage(stages, variant, n0, halved_c)
+                assert report.bound == report.per_stage[-1][1].l1() \
+                    == ref[-1][1].l1()
+        assert {("dense", True), ("dense", False), ("linear", False),
+                ("maxpool", False), ("skip", False)} <= first
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_depth_one_and_two_build_no_block(self, variant):
+        for depth in (1, 2):
+            stages = archspec.resolve(archspec.mlp(784, 128, depth))
+            p = CountingProvider(variant)
+            report = engine.evaluate(stages, variant, 784, provider=p)
+            assert p.fetches == []
+            ref = reference_per_stage(stages, variant, 784)
+            assert report.bound == ref[-1][1].l1()
+            # the forward pass forms B_2 h_1, a real product
+            assert report.per_stage == ref
+            assert p.fetches == [(128, 129)] * (depth - 1)
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_depth_three_builds_one_block(self, variant):
+        stages = archspec.resolve(archspec.mlp(784, 128, 3))
+        p = CountingProvider(variant)
+        report = engine.evaluate(stages, variant, 784, provider=p)
+        assert p.fetches == [(128, 129)]
+        assert report.bound == \
+            reference_per_stage(stages, variant, 784)[-1][1].l1()
+
+    @pytest.mark.parametrize("stages", [
+        # the first ReLU stage is the last: order 6 > 5
+        archspec.resolve(archspec.mlp(10, 6, 1)),
+        # a first stage of order 6 before a last one of order 2
+        (ResolvedStage("dense", 10, 6, relu=True),
+         ResolvedStage("dense", 6, 2, relu=True),
+         ResolvedStage("dense", 2, 1)),
+        # the last ReLU stage, order 6, after a linear one
+        (ResolvedStage("linear", 10, 8, rank=8),
+         ResolvedStage("dense", 8, 6, relu=True),
+         ResolvedStage("dense", 6, 1))])
+    def test_cap_applies_to_blocks_never_built(self, stages):
+        p = CountingProvider("ours", cap=5)
+        with pytest.raises(ColumnCapExceeded, match=r"^layer width n'=6 "
+                                                    r"exceeds cap 5$"):
+            engine.evaluate(stages, "ours", 10, provider=p)
+        assert p.fetches == []
+        # under the cap, the same nets read no block either
+        p = CountingProvider("ours", cap=6)
+        assert engine.evaluate(stages, "ours", 10, provider=p).bound == \
+            reference_per_stage(stages, "ours", 10)[-1][1].l1()
+        assert p.fetches == []
 
 
 CIFAR_NET = {

@@ -8,8 +8,9 @@ import tracemalloc
 
 import pytest
 
-from conftest import (b_columns, hist_add, leq, random_stage_tree,
-                      ref_b_matrix, ref_m_matrix, ref_mat_vec)
+from conftest import (CountingProvider, b_columns, hist_add, leq,
+                      random_stage_tree, ref_b_matrix, ref_m_matrix,
+                      ref_mat_vec)
 from regionbound import engine, gamma, transfer
 from regionbound.archspec import ResolvedStage
 from regionbound.gamma import ColumnCapExceeded, GammaProvider, gamma_norm
@@ -422,3 +423,65 @@ class TestComposeApply:
             assert leq(v, w)
             for t in transforms:
                 assert leq(t(v), t(w))
+
+
+class TestBothEnds:
+    """B on c*unit(j) is c times column j, built from the closed forms,
+    and B^T on all ones is gamma_norms; a ReLU stage reads either one
+    without a block."""
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_column_from_closed_forms(self, variant):
+        for nprime in range(1, 41):
+            b = transfer.b_matrix(GammaProvider(variant), nprime)
+            rows = rendered_rows(b)
+            for j in range(nprime + 1):
+                col = gamma.b_column(nprime, variant == "ours", j)
+                assert len(col) == j + 1
+                assert Histogram(col) == b.apply(Histogram.unit(j))
+                assert tuple(col) + (0,) * (nprime - j) == \
+                    tuple(row[j] for row in rows), (nprime, j)
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_scaled_unit_reads_scaled_column(self, variant):
+        rng = random.Random(29)
+        for nprime in range(1, 41):
+            b = transfer.b_matrix(GammaProvider(variant), nprime)
+            p = CountingProvider(variant)
+            relu = engine._ReLU(p, nprime, nprime)
+            for j in range(nprime + 1):
+                c = rng.randint(1, 10 ** 40)
+                col = gamma.b_column(nprime, variant == "ours", j)
+                h = Histogram((0,) * j + (c,))
+                assert relu.apply(h) == Histogram([c * x for x in col]) \
+                    == b.apply(h)
+            assert p.fetches == []
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_all_ones_read_column_sums(self, variant):
+        for nprime in range(1, 41):
+            p = GammaProvider(variant)
+            for m in range(1, nprime + 2):
+                b = transfer.b_matrix(p, nprime, m)
+                assert b.rows == m
+                counting = CountingProvider(variant)
+                relu = engine._ReLU(counting, nprime, m - 1)
+                for k in range(1, m + 1):
+                    norms = gamma.gamma_norms(k - 1, nprime)
+                    assert b.transposed([1] * k) == norms
+                    assert relu.transposed([1] * k) == norms
+                assert counting.fetches == []
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_other_inputs_fetch_the_block(self, variant):
+        rng = random.Random(31)
+        for nprime in (3, 8, 20, 40):
+            for k in range(1, nprime + 1):
+                b = transfer.b_matrix(GammaProvider(variant), nprime, k + 1)
+                p = CountingProvider(variant)
+                relu = engine._ReLU(p, nprime, k)
+                h = Histogram([rng.randint(1, 9) for _ in range(k + 1)])
+                w = [rng.randint(2, 9) for _ in range(k + 1)]
+                assert relu.apply(h) == b.apply(h)
+                assert relu.transposed(w) == b.transposed(w)
+                assert p.fetches == [(nprime, k + 1)] * 2
