@@ -20,35 +20,44 @@ Each primitive also applies its transpose on d_eff + 1 entries: clip(k)
 maps w to v[i] = w[min(i, k)], a scaling is its own transpose and B^T
 takes one dot product per column.  So f is 1^T M_L ... M_1, found by one
 transposed pass over the body from the all-ones vector; a nested skip is
-one more scaling.  The bound is the same pass, <w, h_1> with
-h_1 = M_1 unit(n0) and w = 1^T M_L ... M_2, and both ends are cheap:
-B on c*unit(j) is c times column j of B, clip(gamma(j, n_out), j),
-which ``gamma.b_column`` builds in O(j) steps; B^T on all ones is B's
-column sums, gamma_norm(j, n_out), since B's diagonal is defined as
-gamma_norm minus the column's off-diagonal sum.  Any other product reads
-the leading (min(d_eff, n_out) + 1)-block of B, which is diagonal, a
-scaling, in the regime the ``regionbound.transfer`` docstring states.
-A ReLU stage checks that block's order against the provider's cap when
-its map is built and fetches the block only for such a product, so an
-MLP of depth k forms block products in its k - 2 middle stages only.
-The gamma provider keeps one block per width, so a provider passed to
-repeated ``evaluate`` calls shares them.  ``BoundReport.per_stage`` is
-the forward pass over the same maps, run on first access.  All
-arithmetic is exact.
+one more scaling.  The pass carries the ones as None, which clips keep,
+so the first other primitive knows its input is all ones without
+reading it: a scaling returns its factors, and B^T returns B's column
+sums, gamma_norm(j, n_out), since B's diagonal is defined as gamma_norm
+minus the column's off-diagonal sum.
+
+The bound is the same pass, <w, h_1> with h_1 = M_1 unit(n0) and
+w = 1^T M_L ... M_2.  h_1 is walked as a pair (c, j) standing for
+c*unit(j): a clip(k) sets j = min(j, k), a scaling sets c = c*f[j], and
+B, the last primitive of its stage, gives c times column j of B,
+clip(gamma(j, n_out), j).  No histogram is built.  Column j and the
+column sums come from the gamma provider: it reads them from the block
+of B it holds for n_out when that block covers the index, and
+otherwise builds them from binomials in O(j) steps
+(``gamma.b_column``, ``gamma_norms``), building no block.  Any other
+product reads the leading (min(d_eff, n_out) + 1)-block of B, which is
+diagonal, a scaling, in the regime the ``regionbound.transfer``
+docstring states.  A ReLU stage checks that block's order against the
+provider's cap when its map is built and fetches the block only for
+such a product, so an MLP of depth k forms block products in its
+k - 2 middle stages only.  The gamma provider keeps one block per
+width, so a provider passed to repeated ``evaluate`` calls shares them.
+``BoundReport.per_stage`` is the forward pass over the same maps, run
+on first access.  All arithmetic is exact.
 """
 from __future__ import annotations
 
 import decimal
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
 from . import transfer
 from .archspec import ResolvedStage, mlp, resolve
 from .gamma import (DEFAULT_COLUMN_CAP, GammaProvider, GammaVariant,
-                    b_column, gamma_norms)
+                    gamma_norms)
 from .histogram import Histogram
 
 
@@ -138,7 +147,9 @@ class _Clip:
     def apply(self, h: Histogram) -> Histogram:
         return h.clip(self.k)
 
-    def transposed(self, w: list[int]) -> list[int]:
+    def transposed(self, w: list[int] | None) -> list[int] | None:
+        if w is None:  # all ones stay all ones
+            return None
         k, e = self.k, self.e
         return w[:e + 1] if k >= e else w[:k] + [w[k]] * (e + 1 - k)
 
@@ -154,32 +165,42 @@ class _Scale:
     def apply(self, h: Histogram) -> Histogram:
         return Histogram([x * f for x, f in zip(h.entries, self.factors)])
 
-    def transposed(self, w: list[int]) -> list[int]:
+    def transposed(self, w: list[int] | None) -> list[int]:
+        if w is None:  # all ones
+            return list(self.factors)
         return [x * f for x, f in zip(w, self.factors)]
 
 
 class _ReLU:
-    """B for n' hyperplanes on histograms with mass at indices up to k,
-    which fetches its block only for a real product (see above)."""
+    """B for n' hyperplanes on histograms with mass at indices up to k.
+    Column j and the column sums come from the provider; the block is
+    fetched only for a real product (see above)."""
 
-    __slots__ = ("nprime", "ours", "block")
+    __slots__ = ("provider", "nprime", "k")
 
     def __init__(self, provider: GammaProvider, nprime: int, k: int):
         provider.check(nprime, k)  # the block's order, as if it were built
+        self.provider = provider
         self.nprime = nprime
-        self.ours = provider.variant is GammaVariant.OURS
-        self.block = partial(transfer.b_matrix, provider, nprime, k + 1)
+        self.k = k
+
+    def column(self, j: int) -> list[int]:
+        return self.provider.b_column(self.nprime, j)
+
+    def block(self) -> transfer.BMatrix:
+        return transfer.b_matrix(self.provider, self.nprime, self.k + 1)
 
     def apply(self, h: Histogram) -> Histogram:
         hs = h.entries
-        if hs.count(0) == len(hs) - 1:  # c*unit(j): trailing zeros are cut
-            col = b_column(self.nprime, self.ours, len(hs) - 1)
-            return Histogram([hs[-1] * x for x in col])
+        # only per_stage's forward pass applies B; the bound reads the
+        # column of c*unit(j) structurally, and here trailing zeros are cut
+        if hs.count(0) == len(hs) - 1:
+            return Histogram([hs[-1] * x for x in self.column(len(hs) - 1)])
         return self.block().apply(h)
 
-    def transposed(self, w: list[int]) -> list[int]:
-        if w.count(1) == len(w):  # the column sums
-            return gamma_norms(len(w) - 1, self.nprime)
+    def transposed(self, w: list[int] | None) -> list[int]:
+        if w is None:  # all ones: the column sums
+            return self.provider.column_sums(self.nprime, self.k)
         return self.block().transposed(w)
 
 
@@ -196,7 +217,7 @@ class _StageMap:
             h = op.apply(h)
         return h
 
-    def transposed(self, w: list[int]) -> list[int]:
+    def transposed(self, w: list[int] | None) -> list[int] | None:
         for op in reversed(self.ops):
             w = op.transposed(w)
         return w
@@ -231,8 +252,8 @@ def _stage_map(stage: ResolvedStage, e: int, provider: GammaProvider,
         # entry j is the number of regions the body carves out of one
         # j-dimensional region; concatenating or adding the input back
         # restores each region's dimension to j
-        body, body_e = _stage_maps(stage.body, e, provider, halved_c)
-        return _StageMap(_Scale(_column_sums(body, body_e))), e
+        body, _ = _stage_maps(stage.body, e, provider, halved_c)
+        return _StageMap(_Scale(_column_sums(body, e))), e
     raise ValueError(f"unknown stage kind '{stage.kind}'")
 
 
@@ -247,12 +268,13 @@ def _stage_maps(stages: Sequence[ResolvedStage], e: int,
 
 
 def _column_sums(maps: Sequence[_StageMap], e: int) -> list[int]:
-    """1^T M_L ... M_1 for the maps M_1..M_L, which end at d_eff = e: the
-    transposed pass from the all-ones vector."""
-    w = [1] * (e + 1)
+    """1^T M_L ... M_1 for the maps M_1..M_L, which start at d_eff = e:
+    the transposed pass from the all-ones vector.  The pass carries the
+    ones as None, which clips keep, until a scaling or B reads them."""
+    w = None
     for f in reversed(maps):
         w = f.transposed(w)
-    return w
+    return [1] * (e + 1) if w is None else w
 
 
 def evaluate(stages: Sequence[ResolvedStage], variant: GammaVariant | str,
@@ -267,9 +289,19 @@ def evaluate(stages: Sequence[ResolvedStage], variant: GammaVariant | str,
         provider = GammaProvider(variant)
     elif provider.variant is not variant:
         raise ValueError("provider variant does not match requested variant")
-    maps, e = _stage_maps(stages, n0, provider, halved_c)
-    h = maps[0](Histogram.unit(n0)) if maps else Histogram.unit(n0)
-    bound = sum(map(mul, _column_sums(maps[1:], e), h.entries))
+    maps, _ = _stage_maps(stages, n0, provider, halved_c)
+    # the first stage on unit(n0) is c*unit(j), then c times column j
+    # once a ReLU, the last primitive of its stage, reads it
+    c, j, col = 1, n0, None
+    for op in maps[0].ops if maps else ():
+        if isinstance(op, _Clip):
+            j = min(j, op.k)
+        elif isinstance(op, _Scale):
+            c *= op.factors[j]
+        else:
+            col = op.column(j)
+    w = _column_sums(maps[1:], j)
+    bound = c * (w[j] if col is None else sum(map(mul, w, col)))
     return BoundReport(bound, variant, (tuple(stages), maps, n0, digits))
 
 

@@ -35,7 +35,10 @@ plus a band of about nprime^2/12 entries for "ours" (see
 histogram reaches.  The provider builds a block of order m-1 from
 those binomials directly, in O(m) big-int steps for "serra" and at
 most O(m^2) for "ours", without a column, and keeps one block per
-nprime.
+nprime.  The engine also reads the two ends of B, column j
+(``b_column``) and the column sums (``gamma_norms``); the provider
+reads them from its block when that covers the index and otherwise
+steps them from binomials in O(j), never building a block for them.
 """
 from __future__ import annotations
 
@@ -190,7 +193,10 @@ class GammaProvider:
     ``gamma`` command asks for one.  The engine reads only leading blocks
     of B, which are built from binomials, with no gamma column, under
     the provider's lock and cap.  A block is rebuilt, larger, only when
-    a larger one is asked for; a smaller one is served from it.
+    a larger one is asked for; a smaller one is served from it.  Column
+    j of B and its column sums are read from the block held for nprime
+    when it covers the index, and are otherwise built from binomials;
+    the provider keeps neither and builds no block for them.
     """
 
     def __init__(self, variant: GammaVariant | str = GammaVariant.OURS,
@@ -220,6 +226,24 @@ class GammaProvider:
         return (Histogram.unit(nprime), first_layer_gamma(nprime)) + tuple(
             Histogram(_ours_lower(n, nprime) + row[nprime - n + 1:])
             for n in range(2, nprime + 1))
+
+    def b_column(self, nprime: int, j: int) -> list[int]:
+        """Column j of B for nprime, rows 0..j: read from the cached block
+        when it covers j, else built from binomials (``b_column``).  No
+        block is built."""
+        b = self._b_matrices.get(nprime)
+        if b is not None and b.rows > j:
+            return b.column(j)
+        return b_column(nprime, self.variant is GammaVariant.OURS, j)
+
+    def column_sums(self, nprime: int, k: int) -> list[int]:
+        """Sums of columns 0..k of B for nprime, ``gamma_norms(k,
+        nprime)``: read from the cached block when it covers k, else
+        built from binomials.  No block is built."""
+        b = self._b_matrices.get(nprime)
+        if b is not None and b.rows > k:
+            return b.column_sums(k)
+        return gamma_norms(k, nprime)
 
     def b_matrix(self, nprime: int, m: int) -> BMatrix:
         """A cached leading block of the ReLU-layer B matrix for nprime

@@ -1,7 +1,8 @@
 """Independent ground truth for bound soundness checks.
 
 Exact region counting for 1-input networks by breakpoint propagation, and
-a sampling lower bound on activation patterns for any input dimension.
+a sampling lower bound on activation regions (distinct activation
+patterns) for any input dimension.
 
 Weights and biases are ``Fraction``s, but both counters run on plain
 integers.  Each call multiplies a layer by L, the lcm of its weight and
@@ -288,7 +289,13 @@ def pattern_lower_bound(net: ConcreteNet, samples: int, seed: int, *,
                         box: tuple[int, int] = (-10, 10)) -> RegionCount:
     """Number of distinct activation patterns on seeded pseudo-random inputs.
 
-    Always a valid lower bound on the number of linear regions.
+    A lower bound on the number of activation regions, the sets of inputs
+    that share one pattern, and not on the number of linear regions: the
+    net is affine on each activation region, but neighbouring ones can
+    carry the same affine map.  For example, relu(x) and relu(-x) read
+    out with weights 0 and 0 give two patterns and one linear region.
+    The engine's bounds count activation regions, so the count must not
+    exceed them either.
     """
     if samples < 1:
         raise OracleError("need at least one sample")

@@ -45,8 +45,14 @@ reaches it only when n' + shift < 2(m-1).  So when n' >= 3e - 1
 ("ours") or n' >= 2e ("serra") the block is diag(gamma_norms(e, n')),
 and B h is a scaling.  The gamma provider keeps one block per n'
 (``GammaProvider.b_matrix``) under its lock and cap, and rebuilds it
-only when a larger one is asked for.  All entries are exact
-non-negative integers.
+only when a larger one is asked for.
+
+A block also yields the two ends of B that the engine reads, with no
+product: column j, rows 0..j, is its diagonal entry, C(n', i) on the
+binomial suffix rows n'+shift-j <= i < j, and the band rows
+(n'-j)/2 <= i <= n'-j below j; and the sums of columns 0..k are the
+prefix sums of the binomial row, gamma_norm(j, n'), by the definition
+of the diagonal.  All entries are exact non-negative integers.
 """
 from __future__ import annotations
 
@@ -99,6 +105,26 @@ class BMatrix:
         first = self.band[0][0] if self.band else 0
         return self.band[max(0, (self.nprime - k) // 2 + 1 - first):
                          max(0, k - 1 - first)]
+
+    def column(self, j: int) -> list[int]:
+        """Column j, rows 0..j: C(n', i) on the binomial suffix rows
+        n'+shift-j <= i < j, the band rows (n'-j)/2 <= i <= n'-j below
+        j, and the diagonal entry."""
+        self._fits(j + 1)
+        n = self.nprime
+        lo = min(j, max(0, n + self.shift - j))
+        col = [0] * lo + self.binom[lo:j] + [self.diag[j]]
+        first = self.band[0][0] if self.band else 0
+        for i, start, g in self.band[max(0, (n - j + 1) // 2 - first):
+                                     max(0, min(n - j + 1, j) - first)]:
+            col[i] = g[j - start]
+        return col
+
+    def column_sums(self, k: int) -> list[int]:
+        """Sums of columns 0..k, gamma_norm(j, n') by the definition of
+        the diagonal: the prefix sums of the binomial row."""
+        self._fits(k + 1)
+        return list(accumulate(self.binom[:k + 1]))
 
     def _dense_rows(self) -> list[list[int]]:
         m = self.rows

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (CountingProvider, mlp_bound, random_mlp_spec,
                       random_stage_tree, reference_per_stage)
-from regionbound import archspec, engine
+from regionbound import archspec, engine, transfer
 from regionbound.archspec import ResolvedStage
 from regionbound.gamma import ColumnCapExceeded, GammaProvider, gamma_norm
 from regionbound.histogram import Histogram
@@ -293,6 +293,31 @@ class TestBothEnds:
                     == ref[-1][1].l1()
         assert {("dense", True), ("dense", False), ("linear", False),
                 ("maxpool", False), ("skip", False)} <= first
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_warm_provider_gives_the_fresh_bound(self, variant):
+        # a warm provider serves column j and the column sums from its
+        # blocks: whole ones, or the leading ones earlier nets left
+        rng = random.Random(83)
+        whole = GammaProvider(variant)
+        for nprime in range(1, 41):
+            transfer.b_matrix(whole, nprime)
+        shared = CountingProvider(variant)
+        first = set()
+        for _ in range(60):
+            n0 = rng.randint(1, 5)
+            stages, _ = random_stage_tree(rng, n0)
+            first.add(stages[0].kind)
+            for halved_c in (False, True):
+                fresh = engine.evaluate(stages, variant, n0,
+                                        halved_c=halved_c).bound
+                for p in (whole, shared):
+                    report = engine.evaluate(stages, variant, n0, provider=p,
+                                             halved_c=halved_c)
+                    assert report.bound == fresh \
+                        == report.per_stage[-1][1].l1()
+        assert {"dense", "linear", "maxpool", "skip"} <= first
+        assert len(set(shared.fetches)) > 1
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_depth_one_and_two_build_no_block(self, variant):

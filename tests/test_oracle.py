@@ -153,6 +153,14 @@ class TestPatternSampling:
             Layer(((F(0), F(0)),) * 3, (F(0),) * 3, True),))
         assert pattern_lower_bound(net, 100, seed=1).count == 1
 
+    def test_counts_activation_regions_not_linear_regions(self):
+        # relu(x), relu(-x) read out with weights 0, 0: one affine piece,
+        # two activation patterns
+        net = ConcreteNet(1, (layer_of([[1], [-1]], [0, 0]),
+                              layer_of([[0, 0]], [0], relu=False)))
+        assert count_regions_1d(net).count == 1
+        assert pattern_lower_bound(net, 200, seed=0).count == 2
+
     def test_below_engine_bound(self):
         rng = random.Random(19)
         net = random_concrete_net(rng, n0=2, max_width=4, max_depth=2)

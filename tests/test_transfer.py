@@ -459,17 +459,18 @@ class TestBothEnds:
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_all_ones_read_column_sums(self, variant):
+        # the transposed pass hands a stage its all-ones input as None
         for nprime in range(1, 41):
             p = GammaProvider(variant)
             for m in range(1, nprime + 2):
                 b = transfer.b_matrix(p, nprime, m)
                 assert b.rows == m
                 counting = CountingProvider(variant)
-                relu = engine._ReLU(counting, nprime, m - 1)
                 for k in range(1, m + 1):
                     norms = gamma.gamma_norms(k - 1, nprime)
                     assert b.transposed([1] * k) == norms
-                    assert relu.transposed([1] * k) == norms
+                    relu = engine._ReLU(counting, nprime, k - 1)
+                    assert relu.transposed(None) == norms
                 assert counting.fetches == []
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
@@ -485,3 +486,68 @@ class TestBothEnds:
                 assert relu.apply(h) == b.apply(h)
                 assert relu.transposed(w) == b.transposed(w)
                 assert p.fetches == [(nprime, k + 1)] * 2
+
+
+class TestEndsFromTheBlock:
+    """Column j and the column sums of B read from the row structure of a
+    block, which a provider serves when it holds a block that covers the
+    index, and builds from binomials, with no block, otherwise."""
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_column_of_every_leading_block(self, variant):
+        ours = variant == "ours"
+        for nprime in range(1, 41):
+            cols = [gamma.b_column(nprime, ours, j)
+                    for j in range(nprime + 1)]
+            for m in range(1, nprime + 2):  # m = nprime + 1 is all of B
+                b = gamma._b_matrix(nprime, ours, m)
+                for j in range(m):
+                    assert b.column(j) == cols[j], (nprime, m, j)
+                with pytest.raises(ValueError, match="does not fit"):
+                    b.column(m)
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_column_sums_of_every_leading_block(self, variant):
+        for nprime in range(1, 41):
+            norms = gamma.gamma_norms(nprime, nprime)
+            for m in range(1, nprime + 2):
+                b = gamma._b_matrix(nprime, variant == "ours", m)
+                for k in range(m):
+                    assert b.column_sums(k) == norms[:k + 1]
+                    assert b.column_sums(k) == b.transposed([1] * (k + 1))
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_provider_serves_both_ends(self, variant, monkeypatch):
+        ours = variant == "ours"
+        warm = GammaProvider(variant)
+        for nprime in range(1, 41):
+            transfer.b_matrix(warm, nprime, nprime // 2 + 1)
+        cold = GammaProvider(variant)
+
+        def no_block(*args):
+            raise AssertionError("a block was built to serve an end of B")
+
+        built = []
+
+        def counted(f):
+            def g(*args):
+                built.append(f.__name__)
+                return f(*args)
+            return g
+
+        expected = {}
+        for nprime in range(1, 41):
+            for j in range(nprime + 1):
+                expected[nprime, j] = (gamma.b_column(nprime, ours, j),
+                                       gamma.gamma_norms(j, nprime))
+        monkeypatch.setattr(gamma, "_b_matrix", no_block)
+        monkeypatch.setattr(gamma, "b_column", counted(gamma.b_column))
+        monkeypatch.setattr(gamma, "gamma_norms", counted(gamma.gamma_norms))
+        for (nprime, j), (col, norms) in expected.items():
+            for p in (warm, cold):
+                del built[:]
+                assert p.b_column(nprime, j) == col
+                assert p.column_sums(nprime, j) == norms
+                # from binomials unless a cached block covers j
+                covered = p is warm and j <= nprime // 2
+                assert bool(built) is not covered, (nprime, j)
