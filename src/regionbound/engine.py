@@ -1,49 +1,47 @@
 """Bound evaluation over resolved stage sequences.
 
 Each stage becomes one linear map from histogram to histogram, and the
-bound is the mass of the input unit(n0) after all of them.  Maps are
-built at d_eff = min(n0, every clip so far), the largest index at which
-the histogram can hold mass; the ambient dimension never changes a bound
-and is not tracked.  A stage map is a short list of three primitives:
-``clip(k)`` (``Histogram.clip``), a diagonal ``scale(f)`` and the ReLU
-layer's B matrix (``regionbound.transfer``):
+bound is the mass of the input unit(n0) after all of them,
+1^T M_L ... M_1 unit(n0).  Maps are built at d_eff = min(n0, every clip
+so far), the largest index at which the histogram can hold mass; the
+ambient dimension never changes a bound and is not tracked.  A stage
+map is a short list of three primitives: ``clip(k)``, a diagonal
+``scale(f)`` and the ReLU layer's B matrix (``regionbound.transfer``):
 
 * ReLU ``dense`` with n_out units: [clip(n_out), B];
 * ``linear`` of rank r, and ``dense`` without ReLU (rank n_out):
   [clip(min(d_eff, r, n_out))];
 * ``maxpool``: [scale(gamma_norm(n, c)), clip(n_out)];
-* ``skip``/``residual``: [scale(f)], f[j] being the mass of the body's
-  maps applied to unit(j), the column sums of the body's matrix; both
-  keep d_eff, because a scaling moves no mass.
+* ``skip``/``residual``: [scale(f)], f[j] being the body's mass on
+  unit(j), the column sums of the body's matrix; both keep d_eff,
+  because a scaling moves no mass.
 
-Each primitive also applies its transpose on d_eff + 1 entries: clip(k)
-maps w to v[i] = w[min(i, k)], a scaling is its own transpose and B^T
-takes one dot product per column.  So f is 1^T M_L ... M_1, found by one
-transposed pass over the body from the all-ones vector; a nested skip is
-one more scaling.  The pass carries the ones as None, which clips keep,
-so the first other primitive knows its input is all ones without
+Each primitive applies its transpose on d_eff + 1 entries: clip(k) maps
+w to v[i] = w[min(i, k)], a scaling is its own transpose and B^T takes
+one dot product per column.  So f is 1^T M_L ... M_1, found by one
+transposed pass over the body from the all-ones vector; a nested skip
+is one more scaling.  The pass carries the ones as None, which clips
+keep, so the first other primitive knows its input is all ones without
 reading it: a scaling returns its factors, and B^T returns B's column
 sums, gamma_norm(j, n_out), since B's diagonal is defined as gamma_norm
 minus the column's off-diagonal sum.
 
-The bound is the same pass, <w, h_1> with h_1 = M_1 unit(n0) and
-w = 1^T M_L ... M_2.  h_1 is walked as a pair (c, j) standing for
-c*unit(j): a clip(k) sets j = min(j, k), a scaling sets c = c*f[j], and
-B, the last primitive of its stage, gives c times column j of B,
-clip(gamma(j, n_out), j).  No histogram is built.  Column j and the
-column sums come from the gamma provider: it reads them from the block
-of B it holds for n_out when that block covers the index, and
-otherwise builds them from binomials in O(j) steps
-(``gamma.b_column``, ``gamma_norms``), building no block.  Any other
-product reads the leading (min(d_eff, n_out) + 1)-block of B, which is
-diagonal, a scaling, in the regime the ``regionbound.transfer``
-docstring states.  A ReLU stage checks that block's order against the
-provider's cap when its map is built and fetches the block only for
-such a product, so an MLP of depth k forms block products in its
-k - 2 middle stages only.  The gamma provider keeps one block per
-width, so a provider passed to repeated ``evaluate`` calls shares them.
-``BoundReport.per_stage`` is the forward pass over the same maps, run
-on first access.  All arithmetic is exact.
+The bound walks unit(n0) through the primitives of every stage as a
+pair (c, j) standing for c*unit(j), while each keeps it a unit: a
+clip(k) sets j = min(j, k), a scaling sets c = c*f[j], and B sets
+c = c*gamma_norm(j, n_out) when its column j is diagonal
+(``gamma.diagonal_column``).  At the first B whose column j is not, the
+bound is c*<column j, w>, w being the transposed pass over the
+primitives after it; if no B stops the walk, the bound is c.  No
+histogram is built.  Column j and the column sums come from the gamma
+provider, which reads them from the block of B it holds for n_out when
+that block covers the index, and otherwise builds them from binomials
+in O(j) steps, building no block.  B^T of any other vector reads the
+leading (min(d_eff, n_out) + 1)-block of B.  A ReLU stage checks that
+block's order against the provider's cap when its map is built and
+fetches the block only for such a product.  The gamma provider keeps
+one block per width, so a provider passed to repeated ``evaluate``
+calls shares them.  All arithmetic is exact.
 """
 from __future__ import annotations
 
@@ -57,40 +55,21 @@ from typing import Iterable, Sequence
 from . import transfer
 from .archspec import ResolvedStage, mlp, resolve
 from .gamma import (DEFAULT_COLUMN_CAP, GammaProvider, GammaVariant,
-                    gamma_norms)
-from .histogram import Histogram
+                    diagonal_column, gamma_norms)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BoundReport:
-    """An exact bound and its variant.  ``per_stage``, the histogram after
-    every top-level stage, and ``scientific``, the rendered bound, are
-    computed on first access, ``per_stage`` by the forward pass over the
-    maps that gave the bound."""
+    """An exact bound and its variant.  ``scientific``, the rendered
+    bound, is computed on first access."""
 
     bound: int
     variant: GammaVariant
-    _forward: tuple = field(repr=False)  # stages, maps, n0, digits
-
-    @cached_property
-    def per_stage(self) -> tuple[tuple[str, Histogram], ...]:
-        stages, maps, n0, _ = self._forward
-        h = Histogram.unit(n0)
-        out = []
-        for stage, f in zip(stages, maps):
-            h = f(h)
-            out.append((stage.label or stage.kind, h))
-        return tuple(out)
+    _digits: int = field(default=4, repr=False)
 
     @cached_property
     def scientific(self) -> str:
-        return scientific(self.bound, self._forward[3])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BoundReport):
-            return NotImplemented
-        return all(getattr(self, a) == getattr(other, a) for a in
-                   ("bound", "variant", "scientific", "per_stage"))
+        return scientific(self.bound, self._digits)
 
 
 def scientific(n: int, digits: int = 4) -> str:
@@ -144,9 +123,6 @@ class _Clip:
         self.k = k
         self.e = e
 
-    def apply(self, h: Histogram) -> Histogram:
-        return h.clip(self.k)
-
     def transposed(self, w: list[int] | None) -> list[int] | None:
         if w is None:  # all ones stay all ones
             return None
@@ -161,9 +137,6 @@ class _Scale:
 
     def __init__(self, factors: list[int]):
         self.factors = factors
-
-    def apply(self, h: Histogram) -> Histogram:
-        return Histogram([x * f for x, f in zip(h.entries, self.factors)])
 
     def transposed(self, w: list[int] | None) -> list[int]:
         if w is None:  # all ones
@@ -184,58 +157,40 @@ class _ReLU:
         self.nprime = nprime
         self.k = k
 
+    def diagonal(self, j: int) -> bool:
+        return diagonal_column(self.nprime,
+                               self.provider.variant is GammaVariant.OURS, j)
+
+    def norm(self, j: int) -> int:
+        """gamma_norm(j, n'), the sum of column j."""
+        return self.provider.column_sums(self.nprime, j)[j]
+
     def column(self, j: int) -> list[int]:
         return self.provider.b_column(self.nprime, j)
-
-    def block(self) -> transfer.BMatrix:
-        return transfer.b_matrix(self.provider, self.nprime, self.k + 1)
-
-    def apply(self, h: Histogram) -> Histogram:
-        hs = h.entries
-        # only per_stage's forward pass applies B; the bound reads the
-        # column of c*unit(j) structurally, and here trailing zeros are cut
-        if hs.count(0) == len(hs) - 1:
-            return Histogram([hs[-1] * x for x in self.column(len(hs) - 1)])
-        return self.block().apply(h)
 
     def transposed(self, w: list[int] | None) -> list[int]:
         if w is None:  # all ones: the column sums
             return self.provider.column_sums(self.nprime, self.k)
-        return self.block().transposed(w)
+        return transfer.b_matrix(self.provider, self.nprime,
+                                 self.k + 1).transposed(w)
 
 
-class _StageMap:
-    """The primitives of one stage, applied in order."""
-
-    __slots__ = ("ops",)
-
-    def __init__(self, *ops):
-        self.ops = ops
-
-    def __call__(self, h: Histogram) -> Histogram:
-        for op in self.ops:
-            h = op.apply(h)
-        return h
-
-    def transposed(self, w: list[int] | None) -> list[int] | None:
-        for op in reversed(self.ops):
-            w = op.transposed(w)
-        return w
+_Op = _Clip | _Scale | _ReLU
 
 
 def _stage_map(stage: ResolvedStage, e: int, provider: GammaProvider,
-               halved_c: bool) -> tuple[_StageMap, int]:
-    """One stage's map at d_eff = e, plus d_eff after the stage."""
+               halved_c: bool) -> tuple[list[_Op], int]:
+    """One stage's primitives at d_eff = e, plus d_eff after the stage."""
     if stage.kind == "dense" and stage.relu:
         n_out = stage.n_out
         k = min(e, n_out)
-        return _StageMap(_Clip(n_out, e), _ReLU(provider, n_out, k)), k
+        return [_Clip(n_out, e), _ReLU(provider, n_out, k)], k
     if stage.kind in ("dense", "linear"):
         # clip to the rank (at most n_out without a ReLU, which makes no
         # cuts); embedding into n_out dimensions is a no-op
         rank = stage.rank if stage.kind == "linear" else stage.n_out
         k = min(e, rank, stage.n_out)
-        return _StageMap(_Clip(k, e)), k
+        return [_Clip(k, e)], k
     if stage.kind == "maxpool":
         # a maxout layer with n_out units of rank k cuts like
         # c = (k^2 - k) * n_out hyperplanes; halved_c takes c/2, the
@@ -246,34 +201,35 @@ def _stage_map(stage: ResolvedStage, e: int, provider: GammaProvider,
         c = (stage.k * stage.k - stage.k) * n_out
         if halved_c:
             c //= 2
-        return (_StageMap(_Scale(gamma_norms(e, c)), _Clip(n_out, e)),
-                min(e, n_out))
+        return [_Scale(gamma_norms(e, c)), _Clip(n_out, e)], min(e, n_out)
     if stage.kind in ("skip", "residual"):
         # entry j is the number of regions the body carves out of one
         # j-dimensional region; concatenating or adding the input back
         # restores each region's dimension to j
         body, _ = _stage_maps(stage.body, e, provider, halved_c)
-        return _StageMap(_Scale(_column_sums(body, e))), e
+        return [_Scale(_column_sums(body, e))], e
     raise ValueError(f"unknown stage kind '{stage.kind}'")
 
 
 def _stage_maps(stages: Sequence[ResolvedStage], e: int,
                 provider: GammaProvider,
-                halved_c: bool) -> tuple[list[_StageMap], int]:
-    maps = []
+                halved_c: bool) -> tuple[list[_Op], int]:
+    """The primitives of all the stages, in order, starting at d_eff = e,
+    plus d_eff after them."""
+    ops: list[_Op] = []
     for stage in stages:
-        f, e = _stage_map(stage, e, provider, halved_c)
-        maps.append(f)
-    return maps, e
+        stage_ops, e = _stage_map(stage, e, provider, halved_c)
+        ops.extend(stage_ops)
+    return ops, e
 
 
-def _column_sums(maps: Sequence[_StageMap], e: int) -> list[int]:
-    """1^T M_L ... M_1 for the maps M_1..M_L, which start at d_eff = e:
-    the transposed pass from the all-ones vector.  The pass carries the
-    ones as None, which clips keep, until a scaling or B reads them."""
+def _column_sums(ops: Sequence[_Op], e: int) -> list[int]:
+    """1^T M for the product M of the primitives, which start at d_eff =
+    e: the transposed pass from the all-ones vector.  The pass carries
+    the ones as None, which clips keep, until a scaling or B reads them."""
     w = None
-    for f in reversed(maps):
-        w = f.transposed(w)
+    for op in reversed(ops):
+        w = op.transposed(w)
     return [1] * (e + 1) if w is None else w
 
 
@@ -289,20 +245,21 @@ def evaluate(stages: Sequence[ResolvedStage], variant: GammaVariant | str,
         provider = GammaProvider(variant)
     elif provider.variant is not variant:
         raise ValueError("provider variant does not match requested variant")
-    maps, _ = _stage_maps(stages, n0, provider, halved_c)
-    # the first stage on unit(n0) is c*unit(j), then c times column j
-    # once a ReLU, the last primitive of its stage, reads it
-    c, j, col = 1, n0, None
-    for op in maps[0].ops if maps else ():
+    ops, _ = _stage_maps(stages, n0, provider, halved_c)
+    # walk c*unit(j) from unit(n0) while each primitive keeps it a unit
+    c, j = 1, n0
+    for i, op in enumerate(ops):
         if isinstance(op, _Clip):
             j = min(j, op.k)
         elif isinstance(op, _Scale):
             c *= op.factors[j]
-        else:
-            col = op.column(j)
-    w = _column_sums(maps[1:], j)
-    bound = c * (w[j] if col is None else sum(map(mul, w, col)))
-    return BoundReport(bound, variant, (tuple(stages), maps, n0, digits))
+        elif op.diagonal(j):
+            c *= op.norm(j)
+        else:  # c times column j, met by the transposed pass of the rest
+            w = _column_sums(ops[i + 1:], op.k)
+            c *= sum(map(mul, w, op.column(j)))
+            break
+    return BoundReport(c, variant, digits)
 
 
 def compare(stages: Sequence[ResolvedStage], n0: int, *,

@@ -31,14 +31,16 @@ command builds whole columns, and the provider keeps none.
 The engine needs only the ReLU-layer B matrix, whose off-diagonal
 entries these closed forms make C(nprime, i) on a suffix of each row,
 plus a band of about nprime^2/12 entries for "ours" (see
-``regionbound.transfer``), and of B only the leading block that the
-histogram reaches.  The provider builds a block of order m-1 from
+``regionbound.transfer``), and of B only the leading block of order
+min(d_eff, nprime).  The provider builds a block of order m-1 from
 those binomials directly, in O(m) big-int steps for "serra" and at
 most O(m^2) for "ours", without a column, and keeps one block per
 nprime.  The engine also reads the two ends of B, column j
 (``b_column``) and the column sums (``gamma_norms``); the provider
 reads them from its block when that covers the index and otherwise
 steps them from binomials in O(j), never building a block for them.
+Column j is gamma_norm(j, nprime) times unit(j) when
+``diagonal_column`` holds.
 """
 from __future__ import annotations
 
@@ -142,6 +144,13 @@ def b_column(nprime: int, ours: bool, j: int) -> list[int]:
     else:  # gamma(0, nprime) = unit(nprime); gamma(1, nprime) is the seed
         off = [first_layer_gamma(nprime)[0]][:j]
     return off + [norms[-1] - sum(off)]
+
+
+def diagonal_column(nprime: int, ours: bool, j: int) -> bool:
+    """Whether column j of B is gamma_norm(j, nprime) * unit(j), every
+    off-diagonal entry of ``b_column`` being 0: exactly when
+    3j < nprime + 2 ("ours") or 2j <= nprime ("serra")."""
+    return 3 * j < nprime + 2 if ours else 2 * j <= nprime
 
 
 def _b_matrix(nprime: int, ours: bool, m: int) -> BMatrix:

@@ -31,21 +31,20 @@ triangle, whose entry 0 (that is 1) is row 0 of the band while the rest
 lies on the suffixes.  Each diagonal entry is gamma_norm(j, n') minus
 the off-diagonal sum of column j.
 
-So B h costs O(n') big-int products for "serra": row i is
-diag[i]*h[i] + C(n', i) times a suffix sum of h.  "ours" adds one dot
-product per band row, about n'^2/12 products in all against n'^2/2 for
-the dense triangle.  B^T w uses prefix sums of C(n', i)*w[i], because
-the binomial rows that reach column j are a contiguous range.
+So B^T w costs O(n') big-int products for "serra": entry j is
+diag[j]*w[j] plus a range sum of C(n', i)*w[i], taken from prefix sums,
+because the binomial rows that reach column j are a contiguous range.
+"ours" adds w[i] times each band row i, about n'^2/12 products in all
+against n'^2/2 for the dense triangle.
 
-Because B is upper triangular, a histogram with mass only below m
-needs only the leading m-block: rows and columns below m.  A ReLU
-stage at d_eff = e has m = min(e, n') + 1.  The block needs the first
-m binomials and the band rows (n'-m)/2 < i < m-1; a binomial suffix
-reaches it only when n' + shift < 2(m-1).  So when n' >= 3e - 1
-("ours") or n' >= 2e ("serra") the block is diag(gamma_norms(e, n')),
-and B h is a scaling.  The gamma provider keeps one block per n'
-(``GammaProvider.b_matrix``) under its lock and cap, and rebuilds it
-only when a larger one is asked for.
+Because B is upper triangular, entries 0..m-1 of B^T w read only the
+leading m-block: rows and columns below m.  A ReLU stage at d_eff = e
+has m = min(e, n') + 1.  The block needs the first m binomials and the
+band rows (n'-m)/2 < i < m-1; a binomial suffix reaches it only when
+n' + shift < 2(m-1).  So when n' >= 3e - 1 ("ours") or n' >= 2e
+("serra") the block is diag(gamma_norms(e, n')), a scaling.  The gamma
+provider keeps one block per n' (``GammaProvider.b_matrix``) under its
+lock and cap, and rebuilds it only when a larger one is asked for.
 
 A block also yields the two ends of B that the engine reads, with no
 product: column j, rows 0..j, is its diagonal entry, C(n', i) on the
@@ -56,11 +55,9 @@ of the diagonal.  All entries are exact non-negative integers.
 """
 from __future__ import annotations
 
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import add, mul, sub
 from typing import TYPE_CHECKING
-
-from .histogram import Histogram
 
 if TYPE_CHECKING:
     from .gamma import GammaProvider
@@ -74,7 +71,7 @@ class BMatrix:
     Off the diagonal, row i is ``binom[i]`` on columns
     j >= max(i+1, n'-i+shift), and ``band`` holds (i, lo, entries) with
     entries lo, lo+1, ... of row i, for consecutive rows i and cut at
-    column m.  Products take and return vectors of at most m entries.
+    column m.  B^T takes and returns vectors of at most m entries.
     """
 
     __slots__ = ("nprime", "diag", "binom", "shift", "band")
@@ -141,28 +138,6 @@ class BMatrix:
         """Rows of space-separated decimals (appendix matrix layout)."""
         return "\n".join(" ".join(map(str, row))
                          for row in self._dense_rows())
-
-    def apply(self, h: Histogram) -> Histogram:
-        """Exact product B h, one row at a time from the row structure."""
-        hs = h.entries
-        k = len(hs)
-        self._fits(k)
-        # rows i >= k are 0: B is upper triangular and h[j] = 0 for j >= k
-        out = list(map(mul, self.diag, hs))
-        tail = self.nprime + self.shift
-        # row i's binomial suffix starts at max(i+1, tail-i), which is
-        # tail-i below mid; it reaches h for tail-k < i < k-1
-        lo, hi = max(0, tail - k + 1), k - 1
-        if lo < hi:
-            suffix = list(accumulate(reversed(hs)))[::-1]  # h[j]+...+h[k-1]
-            mid = min(max((tail + 1) // 2, lo), hi)
-            starts = chain(range(tail - lo, tail - mid, -1),
-                           range(mid + 1, hi + 1))
-            out[lo:hi] = map(add, out[lo:hi], map(
-                mul, self.binom[lo:hi], map(suffix.__getitem__, starts)))
-        for i, lo, g in self._band_rows(k):
-            out[i] += sum(map(mul, g, hs[lo:lo + len(g)]))
-        return Histogram(out)
 
     def transposed(self, w: list[int]) -> list[int]:
         """Exact product B^T w, with len(w) entries: entry j reads only

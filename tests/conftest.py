@@ -446,17 +446,39 @@ def reference_per_stage(stages, variant, n0, halved_c=False):
     return tuple(out)
 
 
+def reference_bound(stages, variant, n0, halved_c=False):
+    """The mass of unit(n0) after every stage, by dense matrices."""
+    return reference_per_stage(stages, variant, n0, halved_c)[-1][1].l1()
+
+
+def stage_transposed(ops, w):
+    """The transpose of a list of engine primitives applied to w."""
+    for op in reversed(ops):
+        w = op.transposed(w)
+    return w
+
+
 class CountingProvider(GammaProvider):
     """A gamma provider that records (n', m) of every block of B asked of
-    it."""
+    it, and every column ("column", n', j) and column-sums ("sums", n', k)
+    read of it."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.fetches: list[tuple[int, int]] = []
+        self.reads: list[tuple[str, int, int]] = []
 
     def b_matrix(self, nprime: int, m: int):
         self.fetches.append((nprime, m))
         return super().b_matrix(nprime, m)
+
+    def b_column(self, nprime: int, j: int):
+        self.reads.append(("column", nprime, j))
+        return super().b_column(nprime, j)
+
+    def column_sums(self, nprime: int, k: int):
+        self.reads.append(("sums", nprime, k))
+        return super().column_sums(nprime, k)
 
 
 def random_stage_tree(rng: random.Random, d: int, depth: int = 3,

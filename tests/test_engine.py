@@ -3,15 +3,17 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from conftest import (CountingProvider, mlp_bound, random_mlp_spec,
-                      random_stage_tree, reference_per_stage)
+from conftest import (CountingProvider, _ref_factors, _ref_segment,
+                      mlp_bound, random_mlp_spec, random_stage_tree,
+                      ref_mat_vec, reference_bound, reference_per_stage,
+                      stage_transposed)
 from regionbound import archspec, engine, transfer
 from regionbound.archspec import ResolvedStage
 from regionbound.gamma import ColumnCapExceeded, GammaProvider, gamma_norm
-from regionbound.histogram import Histogram
 
 
 class TestSmallBounds:
@@ -70,10 +72,15 @@ class TestDominanceAndDeterminism:
     def test_per_stage_mass_within_ambient(self):
         spec = archspec.mlp(3, 7, 3)
         stages = archspec.resolve(spec)
-        report = engine.evaluate(stages, "ours", 3)
-        # input dimension 3 caps every region's dimension
-        for _, h in report.per_stage:
-            assert len(h) <= 4
+        # input dimension 3 caps every region's dimension: the reference
+        # histograms, and every primitive of the engine, stop at index 3
+        ref = reference_per_stage(stages, "ours", 3)
+        assert all(len(h) <= 4 for _, h in ref)
+        ops, e = engine._stage_maps(stages, 3, GammaProvider("ours"), False)
+        assert e == 1  # the readout
+        assert all((op.e if isinstance(op, engine._Clip) else op.k) <= 3
+                   for op in ops)
+        assert engine.evaluate(stages, "ours", 3).bound == ref[-1][1].l1()
 
 
 class TestSkipResidual:
@@ -107,7 +114,8 @@ class TestSkipResidual:
 
 
 class TestMatrixReference:
-    """per_stage equals the product of the explicit stage matrices."""
+    """The bound is the mass of unit(n0) after the explicit stage
+    matrices."""
 
     @pytest.mark.parametrize("name", ["unet_small", "ae_small",
                                       "resnet_small"])
@@ -115,8 +123,8 @@ class TestMatrixReference:
     def test_builtins(self, name, variant):
         spec = archspec.builtin(name)
         stages = archspec.resolve(spec)
-        assert engine.evaluate(stages, variant, spec.input_nodes).per_stage \
-            == reference_per_stage(stages, variant, spec.input_nodes)
+        assert engine.evaluate(stages, variant, spec.input_nodes).bound \
+            == reference_bound(stages, variant, spec.input_nodes)
 
     @pytest.mark.parametrize("halved_c", [False, True])
     def test_maxpool_net(self, halved_c):
@@ -132,9 +140,9 @@ class TestMatrixReference:
         spec = archspec.parse(doc)
         stages = archspec.resolve(spec)
         got = engine.evaluate(stages, "ours", spec.input_nodes,
-                              halved_c=halved_c).per_stage
-        assert got == reference_per_stage(stages, "ours", spec.input_nodes,
-                                          halved_c)
+                              halved_c=halved_c).bound
+        assert got == reference_bound(stages, "ours", spec.input_nodes,
+                                      halved_c)
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_random_nested(self, variant):
@@ -144,8 +152,8 @@ class TestMatrixReference:
             stages, _ = random_stage_tree(rng, n0)
             halved_c = rng.random() < 0.5
             got = engine.evaluate(stages, variant, n0,
-                                  halved_c=halved_c).per_stage
-            assert got == reference_per_stage(stages, variant, n0, halved_c)
+                                  halved_c=halved_c).bound
+            assert got == reference_bound(stages, variant, n0, halved_c)
 
 
 def _kinds(stages, inside=()):
@@ -168,18 +176,13 @@ class TestTransposedPass:
             d = rng.randint(1, 5)
             body, body_out = random_stage_tree(rng, d)
             seen.extend(_kinds(body))
-            maps, _ = engine._stage_maps(body, d, provider, halved_c)
-            forward = []
-            for j in range(d + 1):
-                h = Histogram.unit(j)
-                for f in maps:
-                    h = f(h)
-                forward.append(h.l1())
+            # the body's mass on unit(j): column j's sum of its matrix
+            seg, _ = _ref_segment(body, d, provider, halved_c)
+            forward = [sum(row[j] for row in seg) for j in range(d + 1)]
             for kind, n_out in (("skip", d + body_out), ("residual", d)):
                 stage = ResolvedStage(kind, d, n_out, body=tuple(body))
-                f, _ = engine._stage_map(stage, d, provider, halved_c)
-                assert [f(Histogram.unit(j)).l1() for j in range(d + 1)] \
-                    == forward
+                (scale,), _ = engine._stage_map(stage, d, provider, halved_c)
+                assert scale.factors == forward
         kinds = {kind for kind, _ in seen}
         assert {"dense", "linear", "maxpool", "skip", "residual"} <= kinds
         assert any(kind == "maxpool" and inside for kind, inside in seen)
@@ -198,32 +201,38 @@ class TestTransposedPass:
                   ResolvedStage("maxpool", 64, 32, k=2),
                   ResolvedStage(kind, 32, 32 + last if kind == "skip" else 32,
                                 body=body))
-        maps, e = engine._stage_maps(stages, 3, GammaProvider("ours"), False)
+        ops, e = engine._stage_maps(stages, 3, GammaProvider("ours"), False)
         assert e == 3
-        assert len(maps[1].ops[0].factors) == 4
-        assert len(maps[2].ops[0].factors) == 4
-        assert engine.evaluate(stages, "ours", 3).per_stage \
-            == reference_per_stage(stages, "ours", 3)
+        assert [len(op.factors) for op in ops
+                if isinstance(op, engine._Scale)] == [4, 4]
+        assert engine.evaluate(stages, "ours", 3).bound \
+            == reference_bound(stages, "ours", 3)
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_stage_transpose_is_adjoint(self, variant):
-        # <w, f(h)> == <f^T(w), h> for every stage map of random trees
+        # <w, M h> == <f^T(w), h> for every stage of random trees, with f
+        # the stage's primitives at d_eff = d and M its dense reference
+        # matrices at the ambient width a; h has mass up to index d only
         rng = random.Random(73)
         provider = GammaProvider(variant)
         for _ in range(30):
             d = rng.randint(1, 5)
             stages, _ = random_stage_tree(rng, d)
+            a = d
             for stage in stages:
-                f, d_out = engine._stage_map(stage, d, provider,
-                                             rng.random() < 0.5)
+                halved_c = rng.random() < 0.5
+                ops, d_out = engine._stage_map(stage, d, provider, halved_c)
+                factors, a = _ref_factors(stage, a, provider, halved_c)
                 for _ in range(3):
                     h = [rng.randint(0, 50) for _ in range(d + 1)]
                     w = [rng.randint(0, 50) for _ in range(d_out + 1)]
-                    fh = f(Histogram(h))
-                    v = f.transposed(w)
+                    mh = h
+                    for m in factors:
+                        mh = ref_mat_vec(m, mh)
+                    assert not any(mh[d_out + 1:])
+                    v = stage_transposed(ops, w)
                     assert len(v) == d + 1
-                    assert sum(a * b for a, b in zip(w, fh)) == \
-                        sum(a * b for a, b in zip(v, h))
+                    assert sum(map(mul, w, mh)) == sum(map(mul, v, h))
                 d = d_out
 
 
@@ -242,14 +251,16 @@ class TestLinearDense:
     def test_d_eff_is_min_of_input_and_n_out(self):
         # embedding 2 dimensions into 5 leaves d_eff at 2
         provider = GammaProvider("ours")
-        f, e = engine._stage_map(ResolvedStage("dense", 4, 2), 4, provider,
-                                 False)
+        # clip(2) moves unit(4) to unit(2), so its transpose reads w[2]
+        # at index 4; a clip to 5 at d_eff 2 is the identity
+        ops, e = engine._stage_map(ResolvedStage("dense", 4, 2), 4, provider,
+                                   False)
         assert e == 2
-        assert f(Histogram.unit(4)) == Histogram.unit(2)
-        f, e = engine._stage_map(ResolvedStage("dense", 2, 5), 2, provider,
-                                 False)
+        assert stage_transposed(ops, [5, 6, 7]) == [5, 6, 7, 7, 7]
+        ops, e = engine._stage_map(ResolvedStage("dense", 2, 5), 2, provider,
+                                   False)
         assert e == 2
-        assert f(Histogram((3, 1, 2))) == Histogram((3, 1, 2))
+        assert stage_transposed(ops, [3, 1, 2]) == [3, 1, 2]
 
 
 class TestMaxpoolMemory:
@@ -273,9 +284,9 @@ class TestMaxpoolMemory:
 
 
 class TestBothEnds:
-    """The bound is <w, h_1>: h_1 is the first stage's map on unit(n0), w
-    the transposed pass of the other stages from all ones.  per_stage is
-    the forward pass over the same maps, run on first access."""
+    """The bound walks unit(n0) as c*unit(j) up to the first ReLU stage
+    whose column j is not diagonal, and meets c times that column with
+    the transposed pass of the primitives after it, from all ones."""
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_bound_is_the_forward_mass(self, variant):
@@ -288,9 +299,8 @@ class TestBothEnds:
             for halved_c in (False, True):
                 report = engine.evaluate(stages, variant, n0,
                                          halved_c=halved_c)
-                ref = reference_per_stage(stages, variant, n0, halved_c)
-                assert report.bound == report.per_stage[-1][1].l1() \
-                    == ref[-1][1].l1()
+                assert report.bound == reference_bound(stages, variant, n0,
+                                                       halved_c)
         assert {("dense", True), ("dense", False), ("linear", False),
                 ("maxpool", False), ("skip", False)} <= first
 
@@ -314,8 +324,8 @@ class TestBothEnds:
                 for p in (whole, shared):
                     report = engine.evaluate(stages, variant, n0, provider=p,
                                              halved_c=halved_c)
-                    assert report.bound == fresh \
-                        == report.per_stage[-1][1].l1()
+                    assert report.bound == fresh
+                assert fresh == reference_bound(stages, variant, n0, halved_c)
         assert {"dense", "linear", "maxpool", "skip"} <= first
         assert len(set(shared.fetches)) > 1
 
@@ -326,11 +336,7 @@ class TestBothEnds:
             p = CountingProvider(variant)
             report = engine.evaluate(stages, variant, 784, provider=p)
             assert p.fetches == []
-            ref = reference_per_stage(stages, variant, 784)
-            assert report.bound == ref[-1][1].l1()
-            # the forward pass forms B_2 h_1, a real product
-            assert report.per_stage == ref
-            assert p.fetches == [(128, 129)] * (depth - 1)
+            assert report.bound == reference_bound(stages, variant, 784)
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_depth_three_builds_one_block(self, variant):
@@ -338,8 +344,7 @@ class TestBothEnds:
         p = CountingProvider(variant)
         report = engine.evaluate(stages, variant, 784, provider=p)
         assert p.fetches == [(128, 129)]
-        assert report.bound == \
-            reference_per_stage(stages, variant, 784)[-1][1].l1()
+        assert report.bound == reference_bound(stages, variant, 784)
 
     @pytest.mark.parametrize("stages", [
         # the first ReLU stage is the last: order 6 > 5
@@ -361,8 +366,47 @@ class TestBothEnds:
         # under the cap, the same nets read no block either
         p = CountingProvider("ours", cap=6)
         assert engine.evaluate(stages, "ours", 10, provider=p).bound == \
-            reference_per_stage(stages, "ours", 10)[-1][1].l1()
+            reference_bound(stages, "ours", 10)
         assert p.fetches == []
+
+
+class TestWalk:
+    """c*unit(j) stays a unit across stage boundaries through clips,
+    scalings and ReLU stages whose column j is diagonal."""
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    @pytest.mark.parametrize("n0,width", [(1, 16), (8, 64)])
+    def test_diagonal_mlp_fetches_no_block(self, variant, n0, width):
+        # every ReLU stage is diagonal at j = n0, so the walk never stops
+        stages = archspec.resolve(archspec.mlp(n0, width, 6))
+        p = CountingProvider(variant)
+        report = engine.evaluate(stages, variant, n0, provider=p)
+        assert p.fetches == []
+        assert not any(kind == "column" for kind, _, _ in p.reads)
+        assert report.bound == gamma_norm(n0, width) ** 6 \
+            == reference_bound(stages, variant, n0)
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_walk_stops_at_the_first_off_diagonal_relu(self, variant):
+        # j = 2 throughout: dense 16 is diagonal at j = 2, the maxpool and
+        # the skip scale, and dense 3 is not diagonal (3j >= n' + 2 and
+        # 2j > n'); the walk reads column 2 of that B and meets it with
+        # the column sums of the last ReLU stage, fetching no block
+        stages = (ResolvedStage("dense", 2, 16, relu=True),
+                  ResolvedStage("maxpool", 16, 8, k=2),
+                  ResolvedStage("skip", 8, 16, body=(
+                      ResolvedStage("dense", 8, 8, relu=True),)),
+                  ResolvedStage("dense", 16, 3, relu=True),
+                  ResolvedStage("dense", 3, 5, relu=True),
+                  ResolvedStage("dense", 5, 1))
+        p = CountingProvider(variant)
+        report = engine.evaluate(stages, variant, 2, provider=p)
+        assert p.reads == [("sums", 8, 2),  # the skip body, at map build
+                           ("sums", 16, 2),  # gamma_norm(2, 16)
+                           ("sums", 5, 2),  # the pass after dense 3
+                           ("column", 3, 2)]
+        assert p.fetches == []
+        assert report.bound == reference_bound(stages, variant, 2)
 
 
 CIFAR_NET = {

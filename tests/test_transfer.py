@@ -5,12 +5,15 @@ import random
 import sys
 import threading
 import tracemalloc
+from functools import partial
+from operator import mul
 
 import pytest
 
 from conftest import (CountingProvider, b_columns, hist_add, leq,
                       random_stage_tree, ref_b_matrix, ref_m_matrix,
-                      ref_mat_vec)
+                      ref_mat_vec, reference_bound, reference_per_stage,
+                      stage_transposed)
 from regionbound import engine, gamma, transfer
 from regionbound.archspec import ResolvedStage
 from regionbound.gamma import ColumnCapExceeded, GammaProvider, gamma_norm
@@ -47,8 +50,13 @@ def rendered_rows(b):
 
 
 def stage_map(stage, d, halved_c=False):
-    f, _ = engine._stage_map(stage, d, GammaProvider("ours"), halved_c)
-    return f
+    """The engine's primitives for one stage at d_eff = d."""
+    ops, _ = engine._stage_map(stage, d, GammaProvider("ours"), halved_c)
+    return ops
+
+
+def dot(v, w):
+    return sum(map(mul, v, w))
 
 
 def bound(stages, n0, halved_c=False):
@@ -88,19 +96,6 @@ class TestBMatrix:
             assert leq(cols[j], cols[j + 1])
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
-    def test_apply_matches_row_major(self, variant):
-        rng = random.Random(11)
-        provider = GammaProvider(variant)
-        for nprime in range(1, 13):
-            b = transfer.b_matrix(provider, nprime)
-            dense_b = ref_b_matrix(provider, nprime)
-            assert rendered_rows(b) == [tuple(row) for row in dense_b]
-            for _ in range(10):
-                h = rand_hist(rng, max_len=nprime + 1, max_entry=10 ** 30)
-                assert b.apply(h) == Histogram(ref_mat_vec(dense_b, h))
-
-
-    @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_transposed_matches_row_major(self, variant):
         rng = random.Random(13)
         provider = GammaProvider(variant)
@@ -134,6 +129,8 @@ class TestBMatrix:
             for j, col in enumerate(cols):
                 unit = Histogram((0,) * j + (norms[j],))
                 assert (col == unit) == diagonal(j, nprime), (nprime, j)
+                assert gamma.diagonal_column(nprime, variant == "ours", j) \
+                    == diagonal(j, nprime)
 
     def test_band_lies_where_the_closed_form_leaves_binomials(self):
         # the leading m-block keeps exactly the band rows that reach it,
@@ -159,9 +156,8 @@ class TestBMatrix:
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_products_on_truncated_inputs(self, variant):
-        # B h and B^T w of vectors shorter than the block: B h is the
-        # dense product, and B^T w has len(w) entries, the leading entries
-        # of the dense product with w padded by zeros
+        # B^T w of vectors shorter than the block has len(w) entries, the
+        # leading entries of the dense product with w padded by zeros
         rng = random.Random(17)
         provider = GammaProvider(variant)
 
@@ -171,14 +167,12 @@ class TestBMatrix:
                     for _ in range(length)]
 
         for nprime in [*range(1, 33), 47, 64, 97]:
-            dense_b = ref_b_matrix(provider, nprime)
-            dense_bt = [list(col) for col in zip(*dense_b)]
+            dense_bt = [list(col) for col in zip(*ref_b_matrix(provider,
+                                                               nprime))]
             for m in {1, nprime // 3 + 1, nprime // 2 + 1, nprime + 1}:
                 b = transfer.b_matrix(GammaProvider(variant), nprime, m)
                 assert b.rows == b.cols == m
                 for _ in range(6):
-                    h = Histogram(draw(rng.randint(0, m)))
-                    assert b.apply(h) == Histogram(ref_mat_vec(dense_b, h))
                     w = draw(rng.randint(0, m))
                     assert b.transposed(w) == \
                         ref_mat_vec(dense_bt, w)[:len(w)]
@@ -226,8 +220,6 @@ class TestBMatrix:
             dense_t = [list(col) for col in zip(*dense)]
             w = [rng.randint(0, 10 ** 40) for _ in range(5)]
             assert big.transposed(w) == ref_mat_vec(dense_t, w)
-            h = Histogram(w)
-            assert big.apply(h) == Histogram(ref_mat_vec(dense, h))
             # a larger block replaces it and serves every smaller order
             bigger = transfer.b_matrix(p, nprime, 10)
             assert bigger is not big and bigger.rows == 10
@@ -313,31 +305,39 @@ class TestBMatrix:
 
 
 class TestMMatrix:
-    """The clip/embed M matrix of a rank-limited stage is Histogram.clip."""
+    """The clip/embed M matrix of a rank-limited stage is Histogram.clip;
+    the engine applies its transpose."""
 
     def test_identity_case(self):
         rng = random.Random(2)
-        f = stage_map(ResolvedStage("linear", 4, 4, rank=4), 4)
+        ops = stage_map(ResolvedStage("linear", 4, 4, rank=4), 4)
         for _ in range(20):
-            v = rand_hist(rng, max_len=5)
-            assert f(v) == v
+            w = [rng.randint(0, 20) for _ in range(5)]
+            assert stage_transposed(ops, w) == w
 
     def test_embedding(self):
-        # embedding into 2 dimensions keeps d_eff at the rank, 1
-        f, e = engine._stage_map(ResolvedStage("linear", 1, 2, rank=1), 1,
-                                 GammaProvider("ours"), False)
+        # embedding into 2 dimensions keeps d_eff at the rank, 1, and
+        # moves no mass: its transpose is the identity on indices 0..1
+        ops, e = engine._stage_map(ResolvedStage("linear", 1, 2, rank=1), 1,
+                                   GammaProvider("ours"), False)
         assert e == 1
-        assert f(Histogram((0, 1))) == Histogram((0, 1, 0))
+        assert stage_transposed(ops, [4, 7]) == [4, 7]
 
     def test_apply_equals_clip(self):
+        # <w, clip(v)> == <M^T w, v>, M^T w being the transpose of the
+        # dense reference M
         rng = random.Random(3)
         for _ in range(40):
             v = rand_hist(rng)
             n = max(len(v) - 1, 0)
             nprime = rng.randint(0, 8)
-            f = stage_map(ResolvedStage("linear", n, nprime, rank=nprime), n)
-            assert f(v) == v.clip(nprime)
-            assert f(v) == Histogram(ref_mat_vec(ref_m_matrix(n, nprime), v))
+            ops, k = engine._stage_map(
+                ResolvedStage("linear", n, nprime, rank=nprime), n,
+                GammaProvider("ours"), False)
+            w = [rng.randint(0, 20) for _ in range(k + 1)]
+            mt = [list(col) for col in zip(*ref_m_matrix(n, nprime))]
+            assert stage_transposed(ops, w) == ref_mat_vec(mt, w)
+            assert dot(stage_transposed(ops, w), v) == dot(w, v.clip(nprime))
 
 
 class TestMaxpoolDiag:
@@ -365,13 +365,17 @@ class TestSkipDiag:
     """Entry j of a skip/residual diagonal is the body's mass on unit(j)."""
 
     def test_column_norm_example(self):
-        report = engine.evaluate([skip(dense(2))], "ours", 1)
-        assert report.per_stage[0][1] == Histogram((0, 3))  # l1 of (0,3,0)
+        (scale,) = stage_map(skip(dense(2)), 1)
+        assert scale.factors == [1, 3]  # l1 of (1,0,0) and of (0,3,0)
+        assert reference_per_stage([skip(dense(2))], "ours", 1)[0][1] \
+            == Histogram((0, 3))
+        assert bound([skip(dense(2))], 1) == 3
 
     def test_identity_segment(self):
         for n0 in range(5):
-            report = engine.evaluate([skip(dense(3, relu=False))], "ours", n0)
-            assert report.per_stage[0][1] == Histogram.unit(n0)
+            (scale,) = stage_map(skip(dense(3, relu=False)), n0)
+            assert scale.factors == [1] * (n0 + 1)
+            assert bound([skip(dense(3, relu=False))], n0) == 1
 
     def test_residual_equals_skip(self):
         rng = random.Random(5)
@@ -379,56 +383,64 @@ class TestSkipDiag:
             d = rng.randint(1, 5)
             body, _ = random_stage_tree(rng, d, depth=1)
             res = ResolvedStage("residual", d, d, body=tuple(body))
-            for n in range(d + 1):
-                assert stage_map(skip(*body), d)(Histogram.unit(n)) == \
-                    stage_map(res, d)(Histogram.unit(n))
+            (s,), (r,) = stage_map(skip(*body), d), stage_map(res, d)
+            assert s.factors == r.factors
 
     def test_dominates_segment_columns(self):
+        # the segment's histogram on unit(n), from the dense reference,
+        # against the skip's factor on unit(n)
         for n in range(3):
-            seg = engine.evaluate([dense(3)], "ours", n).per_stage[-1][1]
-            diag = engine.evaluate([skip(dense(3))], "ours", n).per_stage[-1][1]
-            assert leq(seg, diag)
+            seg = reference_per_stage([dense(3)], "ours", n)[-1][1]
+            (scale,) = stage_map(skip(dense(3)), n)
+            assert leq(seg, Histogram((0,) * n + (scale.factors[n],)))
 
 
 class TestComposeApply:
     def test_b2_on_plane(self):
+        # B on unit(2) is column 2 of B
         b = transfer.b_matrix(GammaProvider("ours"), 2)
-        out = b.apply(Histogram((0, 0, 1)))
-        assert out == Histogram((1, 2, 1))
-        assert out.l1() == 4
+        assert b.column(2) == [1, 2, 1]
+        assert b.column_sums(2)[2] == 4
 
     def test_identity_composition(self):
-        # stages that cut nothing leave every later histogram unchanged
-        plain = engine.evaluate([dense(3), dense(2)], "ours", 2).per_stage
-        padded = engine.evaluate(
-            [dense(5, relu=False), dense(3),
-             ResolvedStage("linear", 3, 3, rank=3), dense(2)],
-            "ours", 2).per_stage
-        assert [h for _, h in plain] == [padded[1][1], padded[3][1]]
+        # stages that cut nothing leave the bound unchanged
+        plain = [dense(3), dense(2)]
+        padded = [dense(5, relu=False), dense(3),
+                  ResolvedStage("linear", 3, 3, rank=3), dense(2)]
+        assert [reference_per_stage(plain, "ours", 2)[i][1] for i in (0, 1)] \
+            == [reference_per_stage(padded, "ours", 2)[i][1] for i in (1, 3)]
+        for n0 in range(1, 5):
+            assert bound(plain, n0) == bound(padded, n0) \
+                == reference_bound(plain, "ours", n0)
 
     def test_dimension_mismatch(self):
         b = transfer.b_matrix(GammaProvider("ours"), 3)
         with pytest.raises(ValueError, match="length 5 does not fit 4x4"):
-            b.apply(Histogram((1,) * 5))
+            b.transposed([1] * 5)
 
     def test_transforms_preserve_order(self):
+        # v <= w gives M v <= M w in the tail-sum order: tail J of M v is
+        # <M^T t_J, v>, t_J being 1 at the indices >= J
         rng = random.Random(9)
-        transforms = [transfer.b_matrix(GammaProvider("ours"), 6).apply,
-                      stage_map(ResolvedStage("linear", 6, 3, rank=3), 6),
-                      stage_map(maxpool(2, 2), 6),
-                      stage_map(skip(dense(6)), 6)]
+        transposes = [(transfer.b_matrix(GammaProvider("ours"), 6).transposed,
+                       6)]
+        for stage in (ResolvedStage("linear", 6, 3, rank=3), maxpool(2, 2),
+                      skip(dense(6))):
+            ops, e = engine._stage_map(stage, 6, GammaProvider("ours"), False)
+            transposes.append((partial(stage_transposed, ops), e))
         for _ in range(30):
             v = rand_hist(rng, max_len=7)
             w = hist_add(v, rand_hist(rng, max_len=7))  # guarantees v <= w
             assert leq(v, w)
-            for t in transforms:
-                assert leq(t(v), t(w))
+            for t, e in transposes:
+                for j in range(e + 1):
+                    tail = t([0] * j + [1] * (e + 1 - j))
+                    assert dot(tail, v) <= dot(tail, w)
 
 
 class TestBothEnds:
-    """B on c*unit(j) is c times column j, built from the closed forms,
-    and B^T on all ones is gamma_norms; a ReLU stage reads either one
-    without a block."""
+    """Column j of B is built from the closed forms, and B^T on all ones
+    is gamma_norms; a ReLU stage reads either one without a block."""
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_column_from_closed_forms(self, variant):
@@ -438,24 +450,8 @@ class TestBothEnds:
             for j in range(nprime + 1):
                 col = gamma.b_column(nprime, variant == "ours", j)
                 assert len(col) == j + 1
-                assert Histogram(col) == b.apply(Histogram.unit(j))
                 assert tuple(col) + (0,) * (nprime - j) == \
                     tuple(row[j] for row in rows), (nprime, j)
-
-    @pytest.mark.parametrize("variant", ["ours", "serra"])
-    def test_scaled_unit_reads_scaled_column(self, variant):
-        rng = random.Random(29)
-        for nprime in range(1, 41):
-            b = transfer.b_matrix(GammaProvider(variant), nprime)
-            p = CountingProvider(variant)
-            relu = engine._ReLU(p, nprime, nprime)
-            for j in range(nprime + 1):
-                c = rng.randint(1, 10 ** 40)
-                col = gamma.b_column(nprime, variant == "ours", j)
-                h = Histogram((0,) * j + (c,))
-                assert relu.apply(h) == Histogram([c * x for x in col]) \
-                    == b.apply(h)
-            assert p.fetches == []
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_all_ones_read_column_sums(self, variant):
@@ -481,11 +477,9 @@ class TestBothEnds:
                 b = transfer.b_matrix(GammaProvider(variant), nprime, k + 1)
                 p = CountingProvider(variant)
                 relu = engine._ReLU(p, nprime, k)
-                h = Histogram([rng.randint(1, 9) for _ in range(k + 1)])
                 w = [rng.randint(2, 9) for _ in range(k + 1)]
-                assert relu.apply(h) == b.apply(h)
                 assert relu.transposed(w) == b.transposed(w)
-                assert p.fetches == [(nprime, k + 1)] * 2
+                assert p.fetches == [(nprime, k + 1)]
 
 
 class TestEndsFromTheBlock:
