@@ -162,19 +162,33 @@ def cmd_compare(cfg: CliConfig, arch_file, output):
           f"ratio={ratio}\n", output)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Comma list and/or "a..b" ranges, e.g. "6,8,10" or "1..10"."""
-    out = []
+class _Ints:
+    """Integers of a list of ranges, iterated afresh on every pass and
+    never expanded."""
+
+    __slots__ = ("ranges",)
+
+    def __init__(self, ranges: list[range]):
+        self.ranges = ranges
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(self.ranges)
+
+
+def _parse_int_list(text: str) -> _Ints:
+    """Comma list and/or "a..b" ranges, e.g. "6,8,10" or "1..10".  A
+    range stays a ``range``, so "1..999999999" takes no memory."""
+    ranges = []
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
             lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            ranges.append(range(int(lo), int(hi) + 1))
         elif part:
-            out.append(int(part))
-    if not out:
+            ranges.append(range(int(part), int(part) + 1))
+    if not any(ranges):
         raise ValueError(f"no integers in '{text}'")
-    return out
+    return _Ints(ranges)
 
 
 @main.command("sweep")
@@ -185,7 +199,7 @@ def _parse_int_list(text: str) -> list[int]:
 @click.pass_obj
 @_guarded
 def cmd_sweep(cfg: CliConfig, n0, widths, depths, output):
-    """CSV grid of both bounds over MLP widths and depths."""
+    """CSV grid of both bounds over MLP widths and depths, row by row."""
     rows = engine.sweep(n0, _parse_int_list(widths), _parse_int_list(depths),
                         gamma_cap=cfg.gamma_cap, digits=cfg.mantissa_digits)
     _emit(engine.sweep_csv(rows), output)

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import transfer
 from .archspec import ResolvedStage, mlp, resolve
@@ -276,9 +276,10 @@ def compare(stages: Sequence[ResolvedStage], n0: int, *,
 
 def sweep(n0: int, widths: Iterable[int], depths: Iterable[int], *,
           gamma_cap: int = DEFAULT_COLUMN_CAP,
-          digits: int = 4) -> list[tuple[int, int, int, int, int, str]]:
-    """Rows (n0, ni, k, bound_ours, bound_serra, ratio), width-major then depth."""
-    rows = []
+          digits: int = 4) -> Iterator[tuple[int, int, int, int, int, str]]:
+    """Rows (n0, ni, k, bound_ours, bound_serra, ratio), width-major then
+    depth, each made when it is read; ``depths`` is iterated once per
+    width."""
     ours_provider = GammaProvider(GammaVariant.OURS, cap=gamma_cap)
     serra_provider = GammaProvider(GammaVariant.SERRA, cap=gamma_cap)
     for ni in widths:
@@ -288,16 +289,19 @@ def sweep(n0: int, widths: Iterable[int], depths: Iterable[int], *,
                           provider=ours_provider).bound
             bs = evaluate(stages, GammaVariant.SERRA, n0,
                           provider=serra_provider).bound
-            rows.append((n0, ni, k, bo, bs,
-                         format_ratio(Fraction(bs, bo), digits)))
-    return rows
+            yield n0, ni, k, bo, bs, format_ratio(Fraction(bs, bo), digits)
 
 
 SWEEP_HEADER = "n0,ni,k,bound_ours,bound_serra,ratio"
 
 
-def sweep_csv(rows) -> str:
-    lines = [SWEEP_HEADER]
-    lines.extend(f"{n0},{ni},{k},{exact(bo)},{exact(bs)},{ratio}"
-                 for n0, ni, k, bo, bs, ratio in rows)
-    return "\n".join(lines) + "\n"
+def sweep_csv(rows: Iterable[tuple]) -> Iterator[str]:
+    """The CSV lines of ``sweep`` rows, each made when it is read.  The
+    header comes with the first row, so an error in making that row
+    comes before any text."""
+    head = SWEEP_HEADER + "\n"
+    for n0, ni, k, bo, bs, ratio in rows:
+        yield f"{head}{n0},{ni},{k},{exact(bo)},{exact(bs)},{ratio}\n"
+        head = ""
+    if head:
+        yield head

@@ -30,7 +30,8 @@ command builds whole columns, and the provider keeps none.
 
 The engine needs only the ReLU-layer B matrix, whose off-diagonal
 entries these closed forms make C(nprime, i) on a suffix of each row,
-plus a band of about nprime^2/12 entries for "ours" (see
+plus for "ours" a band of about nprime^2/12 entries, whose column j is
+entries of gamma(j, nprime) as ``_ours_lower`` steps them (see
 ``regionbound.transfer``), and of B only the leading block of order
 min(d_eff, nprime).  The provider builds a block of order m-1 from
 those binomials directly, in O(m) big-int steps for "serra" and at
@@ -47,7 +48,6 @@ from __future__ import annotations
 import threading
 from enum import Enum
 from math import comb
-from operator import add
 
 from .histogram import Histogram
 from .transfer import BMatrix
@@ -112,15 +112,18 @@ def _binomial_row(norms: list[int]) -> list[int]:
 
 
 def _ours_lower(n: int, nprime: int, stop: int | None = None) -> list[int]:
-    """Entries 0..k of the "ours" gamma(n, nprime), 2 <= n <= nprime,
+    """Entries 0..k of the "ours" gamma(n, nprime), 1 <= n <= nprime,
     k = nprime - n (see the module docstring), or only the first ``stop``.
 
-    Entry i is 0 where s = 2i - k < 0, else t*(2a-n+3)/(n-1) with
-    a = n-2+s and t = C(a, n-2); t starts from one ``math.comb`` and
-    steps C(a+2, n-2) = t*(a+1)*(a+2) / ((a-n+3)*(a-n+4)) exactly.
+    For n = 1 they are the first-layer seed's.  Otherwise entry i is 0
+    where s = 2i - k < 0, else t*(2a-n+3)/(n-1) with a = n-2+s and
+    t = C(a, n-2); t starts from one ``math.comb`` and steps
+    C(a+2, n-2) = t*(a+1)*(a+2) / ((a-n+3)*(a-n+4)) exactly.
     """
     k = nprime - n
     count = k + 1 if stop is None else min(stop, k + 1)
+    if n == 1:
+        return list(first_layer_gamma(nprime).entries[:count])
     entries = [0] * min((k + 1) // 2, count)
     a = n - 2 + k % 2
     t = comb(a, n - 2)
@@ -139,10 +142,10 @@ def b_column(nprime: int, ours: bool, j: int) -> list[int]:
     row, k = _binomial_row(norms), nprime - j  # row: C(nprime, 0..j)
     if not ours:
         off = [0] * min(k, j) + row[k:j]
-    elif j >= 2:
+    elif j:
         off = _ours_lower(j, nprime, j) + row[k + 1:j]
-    else:  # gamma(0, nprime) = unit(nprime); gamma(1, nprime) is the seed
-        off = [first_layer_gamma(nprime)[0]][:j]
+    else:  # gamma(0, nprime) = unit(nprime) has no entry below index 0
+        off = []
     return off + [norms[-1] - sum(off)]
 
 
@@ -155,36 +158,24 @@ def diagonal_column(nprime: int, ours: bool, j: int) -> bool:
 
 def _b_matrix(nprime: int, ours: bool, m: int) -> BMatrix:
     """The leading m-block of B for nprime hyperplanes, 1 <= m <= nprime+1,
-    from its row structure (see ``regionbound.transfer``), built from
+    from its structure (see ``regionbound.transfer``), built from
     binomials with no gamma column.
 
     It needs ``gamma_norms(m-1, nprime)``, whose differences are the
-    first m binomials, and the band rows (nprime-m)/2 < i < m-1, cut at
-    column m.  Each "ours" band row starts from one ``math.comb`` and
-    steps C(a+2, b+1) = C(a, b)*(a+1)*(a+2) / ((b+1)*(a-b+1)) exactly.
+    first m binomials, and for "ours" the band columns
+    (nprime+2)/3 <= j < m: the entries from row (nprime-j)/2 on that
+    ``_ours_lower`` steps for gamma(j, nprime).
     """
     n = nprime
     norms = gamma_norms(m - 1, n)  # norms[j] = gamma_norm(j, n)
     off = [0] * m  # off-diagonal sum of each column
     band: list[tuple[int, int, tuple[int, ...]]] = []
     if ours:
-        if n < m:
-            band.append((0, n, (1,)))
-            off[n] = 1
-        for i in range(max(1, (n - m) // 2 + 1), min((n + 1) // 2, m - 1)):
-            lo = max(i + 1, n - 2 * i)
-            hi = min(n - i, m - 1) + 1
-            # entry j is C(a, j-2) + 2*C(a, j-1) = t*(2a-j+3)/(j-1), with
-            # a = 2i+2j-n-2 and t = C(a, j-2)
-            a = 2 * (i + lo) - n - 2
-            t = comb(a, lo - 2)
-            row = []
-            for j in range(lo, hi):
-                row.append(t * (2 * a - j + 3) // (j - 1))
-                t = t * ((a + 1) * (a + 2)) // ((j - 1) * (a - j + 3))
-                a += 2
-            off[lo:hi] = map(add, off[lo:hi], row)
-            band.append((i, lo, tuple(row)))
+        for j in range((n + 4) // 3, m):
+            lo = (n - j + 1) // 2
+            col = tuple(_ours_lower(j, n, j)[lo:])
+            off[j] = sum(col)
+            band.append((j, lo, col))
     shift = 1 if ours else 0
     # rows n+shift-j <= i < j of column j hold C(n, i)
     for j in range(max(1, (n + shift) // 2 + 1), m):
@@ -232,9 +223,9 @@ class GammaProvider:
         if self.variant is GammaVariant.SERRA:
             return tuple(Histogram([0] * (nprime - n) + row[nprime - n:])
                          for n in range(nprime + 1))
-        return (Histogram.unit(nprime), first_layer_gamma(nprime)) + tuple(
+        return (Histogram.unit(nprime),) + tuple(
             Histogram(_ours_lower(n, nprime) + row[nprime - n + 1:])
-            for n in range(2, nprime + 1))
+            for n in range(1, nprime + 1))
 
     def b_column(self, nprime: int, j: int) -> list[int]:
         """Column j of B for nprime, rows 0..j: read from the cached block

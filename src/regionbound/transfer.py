@@ -6,14 +6,15 @@ and skip/residual wrappers are diagonal scalings; only a ReLU layer
 needs a matrix.  For n' hyperplanes, column j of B is
 clip(gamma(j, n'), j): the pieces an n'-hyperplane cut makes of one
 j-dimensional region, none of dimension above j.  B is therefore upper
-triangular, and it is stored by its row structure, not by its entries:
+triangular, and it is stored by its structure, not by its entries:
 
 * the diagonal;
 * the binomial row C(n', i): off the diagonal, row i of B equals
   C(n', i) on the suffix j >= max(i+1, n'-i+1) ("ours") or
   j >= max(i+1, n'-i) ("serra");
-* for "ours" only, a band G of what is left: row i of G covers
-  j in [max(i+1, n'-2i), n'-i], at most i+1 entries.
+* for "ours" only, a band G of what is left, stored by column:
+  column j of G covers rows (n'-j)/2 <= i <= min(n'-j, j-1), and is
+  empty unless 3j >= n'+2.  It is about n'^2/12 entries in all.
 
 Proof.  clip(., j) keeps the entries i < j of gamma(j, n') and moves
 the rest onto the diagonal, so off the diagonal, entry (i, j) is
@@ -24,23 +25,24 @@ closed form makes it C(n', i) for i > n'-j, again a suffix.  For
 i <= n'-j, set s = 2i - (n'-j) and a = j-2+s; the entry is 0 for
 s < 0 and C(a, j-2) + 2*C(a, j-1) otherwise (at i = n'-j this is the
 closed form's i = k case, with a = n'-2).  It can be nonzero only for
-n'-2i <= j <= n'-i, which with i < j is the band.  The other columns
-fit: column 0 has no off-diagonal entry, entry 0 of column 1 is 0 for
-n' >= 2 by the first-layer seed, and column n' is row n' of Pascal's
-triangle, whose entry 0 (that is 1) is row 0 of the band while the rest
-lies on the suffixes.  Each diagonal entry is gamma_norm(j, n') minus
-the off-diagonal sum of column j.
+(n'-j)/2 <= i <= n'-j, which with i < j is the band column.  The other
+columns fit: column 0 has no off-diagonal entry, entry 0 of column 1 is
+0 for n' >= 2 by the first-layer seed, and column n' is row n' of
+Pascal's triangle, whose entry 0 (that is 1) is its band column while
+the rest lies on the suffixes.  Each diagonal entry is gamma_norm(j, n')
+minus the off-diagonal sum of column j.
 
 So B^T w costs O(n') big-int products for "serra": entry j is
 diag[j]*w[j] plus a range sum of C(n', i)*w[i], taken from prefix sums,
 because the binomial rows that reach column j are a contiguous range.
-"ours" adds w[i] times each band row i, about n'^2/12 products in all
-against n'^2/2 for the dense triangle.
+"ours" adds the dot product of each band column j with the entries of
+w at its rows, about n'^2/12 products in all against n'^2/2 for the
+dense triangle.
 
 Because B is upper triangular, entries 0..m-1 of B^T w read only the
 leading m-block: rows and columns below m.  A ReLU stage at d_eff = e
 has m = min(e, n') + 1.  The block needs the first m binomials and the
-band rows (n'-m)/2 < i < m-1; a binomial suffix reaches it only when
+band columns j < m; a binomial suffix reaches it only when
 n' + shift < 2(m-1).  So when n' >= 3e - 1 ("ours") or n' >= 2e
 ("serra") the block is diag(gamma_norms(e, n')), a scaling.  The gamma
 provider keeps one block per n' (``GammaProvider.b_matrix``) under its
@@ -48,14 +50,14 @@ lock and cap, and rebuilds it only when a larger one is asked for.
 
 A block also yields the two ends of B that the engine reads, with no
 product: column j, rows 0..j, is its diagonal entry, C(n', i) on the
-binomial suffix rows n'+shift-j <= i < j, and the band rows
-(n'-j)/2 <= i <= n'-j below j; and the sums of columns 0..k are the
-prefix sums of the binomial row, gamma_norm(j, n'), by the definition
-of the diagonal.  All entries are exact non-negative integers.
+binomial suffix rows n'+shift-j <= i < j, and band column j; and the
+sums of columns 0..k are the prefix sums of the binomial row,
+gamma_norm(j, n'), by the definition of the diagonal.  All entries are
+exact non-negative integers.
 """
 from __future__ import annotations
 
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import add, mul, sub
 from typing import TYPE_CHECKING
 
@@ -66,12 +68,12 @@ if TYPE_CHECKING:
 class BMatrix:
     """Leading m-block of the B matrix for n' hyperplanes: square, upper
     triangular, big integers, stored as its diagonal, the binomial row
-    with its suffix rule, and the band rows that reach the block.
+    with its suffix rule, and the band columns below m.
 
     Off the diagonal, row i is ``binom[i]`` on columns
-    j >= max(i+1, n'-i+shift), and ``band`` holds (i, lo, entries) with
-    entries lo, lo+1, ... of row i, for consecutive rows i and cut at
-    column m.  B^T takes and returns vectors of at most m entries.
+    j >= max(i+1, n'-i+shift), and ``band`` holds (j, lo, entries) with
+    entries lo, lo+1, ... of column j, for consecutive columns j.  B^T
+    takes and returns vectors of at most m entries.
     """
 
     __slots__ = ("nprime", "diag", "binom", "shift", "band")
@@ -97,24 +99,15 @@ class BMatrix:
             raise ValueError(f"vector of length {k} does not fit "
                              f"{self.rows}x{self.cols} transform")
 
-    def _band_rows(self, k: int) -> list[tuple[int, int, tuple[int, ...]]]:
-        """The band rows that reach the first k columns: (n'-k)/2 < i < k-1."""
-        first = self.band[0][0] if self.band else 0
-        return self.band[max(0, (self.nprime - k) // 2 + 1 - first):
-                         max(0, k - 1 - first)]
-
     def column(self, j: int) -> list[int]:
         """Column j, rows 0..j: C(n', i) on the binomial suffix rows
-        n'+shift-j <= i < j, the band rows (n'-j)/2 <= i <= n'-j below
-        j, and the diagonal entry."""
+        n'+shift-j <= i < j, the band column j, and the diagonal entry."""
         self._fits(j + 1)
-        n = self.nprime
-        lo = min(j, max(0, n + self.shift - j))
+        lo = min(j, max(0, self.nprime + self.shift - j))
         col = [0] * lo + self.binom[lo:j] + [self.diag[j]]
-        first = self.band[0][0] if self.band else 0
-        for i, start, g in self.band[max(0, (n - j + 1) // 2 - first):
-                                     max(0, min(n - j + 1, j) - first)]:
-            col[i] = g[j - start]
+        if self.band and j >= self.band[0][0]:
+            _, i, g = self.band[j - self.band[0][0]]
+            col[i:i + len(g)] = g
         return col
 
     def column_sums(self, k: int) -> list[int]:
@@ -130,8 +123,9 @@ class BMatrix:
             start = max(i + 1, self.nprime - i + self.shift)
             rows.append([0] * i + [d] + [0] * (min(start, m) - i - 1)
                         + [c] * (m - start))
-        for i, lo, g in self.band:
-            rows[i][lo:lo + len(g)] = g
+        for j, lo, g in self.band:
+            for i, x in enumerate(g, lo):
+                rows[i][j] = x
         return rows
 
     def render(self) -> str:
@@ -154,11 +148,10 @@ class BMatrix:
             prefix = [0, *accumulate(map(mul, self.binom, w))]
             out[lo:] = map(add, out[lo:], map(
                 sub, prefix[lo:k], prefix[tail - k + 1:tail - lo + 1][::-1]))
-        for i, lo, g in self._band_rows(k):
-            x = w[i]
-            if x:
-                hi = lo + len(g)
-                out[lo:hi] = map(add, out[lo:hi], map(mul, g, repeat(x)))
+        for j, lo, g in self.band:
+            if j >= k:
+                break
+            out[j] += sum(map(mul, g, w[lo:lo + len(g)]))
         return out
 
 

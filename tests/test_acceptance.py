@@ -162,7 +162,7 @@ def test_criterion_6_skip_residual_dominance():
 
 @criterion("sweep grid ratios", 300.0)
 def test_criterion_7_sweep_ratios():
-    rows = engine.sweep(10, [6, 8, 10, 15, 20, 25], range(1, 11))
+    rows = list(engine.sweep(10, [6, 8, 10, 15, 20, 25], range(1, 11)))
     assert len(rows) == 60
     for _, _, _, bo, bs, _ in rows:
         assert Fraction(bs, bo) >= 1

@@ -2,6 +2,7 @@ import decimal
 import gc
 import json
 import tracemalloc
+from itertools import islice
 
 import pytest
 from click.testing import CliRunner
@@ -9,7 +10,7 @@ from click.testing import CliRunner
 from conftest import (build_gamma1n_witness, gamma_entry, net_to_json,
                       parse_histogram)
 from regionbound import archspec, engine, transfer
-from regionbound.cli import main
+from regionbound.cli import _parse_int_list, main
 from regionbound.gamma import GammaProvider
 
 
@@ -203,6 +204,40 @@ class TestSweep:
         assert res.exit_code == 1
         assert res.stderr.startswith("error: ")
         assert "n0,ni,k" not in res.stdout
+
+    def test_ranges_are_not_expanded(self):
+        # "1..1000000" expanded took 38 MiB
+        gc.collect()
+        tracemalloc.start()
+        try:
+            depths = _parse_int_list("1..999999999, 7, 3..2")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+        # each pass starts afresh
+        for _ in range(2):
+            assert list(islice(depths, 3)) == [1, 2, 3]
+
+    def test_rows_are_made_as_they_are_read(self, runner):
+        lines = engine.sweep_csv(engine.sweep(
+            2, _parse_int_list("8"), _parse_int_list("1..999999999")))
+        res = runner.invoke(main, ["sweep", "--n0", "2", "--widths", "8",
+                                   "--depths", "1..3"])
+        assert res.exit_code == 0
+        assert "".join(islice(lines, 3)) == res.output
+        assert res.output.splitlines()[1:] == \
+            ["2,8,1,37,37,1", "2,8,2,1369,1369,1", "2,8,3,50653,50653,1"]
+
+    def test_error_in_the_first_row_writes_nothing(self, runner, tmp_path):
+        out = tmp_path / "s.csv"
+        for extra in ([], ["-o", str(out)]):
+            res = runner.invoke(main, ["--gamma-cap", "4", "sweep", "--n0",
+                                       "10", "--widths", "6,8",
+                                       "--depths", "1..3", *extra])
+            assert res.exit_code == 2
+            assert res.stdout == ""
+        assert not out.exists()
 
 
 class TestLongBounds:

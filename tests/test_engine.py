@@ -456,15 +456,15 @@ class TestCompareAndSweep:
         assert Fraction(serra.bound, ours.bound) > 1
 
     def test_sweep_grid_shape(self):
-        rows = engine.sweep(10, [6, 8], [1, 2, 3])
+        rows = list(engine.sweep(10, [6, 8], [1, 2, 3]))
         assert len(rows) == 6
         assert [(r[1], r[2]) for r in rows] == \
             [(6, 1), (6, 2), (6, 3), (8, 1), (8, 2), (8, 3)]
         assert all(r[4] >= r[3] for r in rows)
 
     def test_empty_depths(self):
-        assert engine.sweep(10, [6, 8], []) == []
-        assert engine.sweep_csv([]) == engine.SWEEP_HEADER + "\n"
+        assert list(engine.sweep(10, [6, 8], [])) == []
+        assert "".join(engine.sweep_csv([])) == engine.SWEEP_HEADER + "\n"
 
 
 class TestRendering:

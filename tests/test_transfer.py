@@ -133,24 +133,24 @@ class TestBMatrix:
                     == diagonal(j, nprime)
 
     def test_band_lies_where_the_closed_form_leaves_binomials(self):
-        # the leading m-block keeps exactly the band rows that reach it,
-        # (n'-m)/2 < i < m-1, each from max(i+1, n'-2i) to n'-i, cut at
-        # column m; row 0 is the 1 at column n'
+        # the leading m-block keeps exactly the band columns j < m whose
+        # rows ceil((n'-j)/2)..min(n'-j, j-1) are not empty, each over
+        # exactly those rows; column n' is the 1 in row 0
         for nprime in range(1, 131):
             for m in range(1, nprime + 2):
                 assert transfer.b_matrix(GammaProvider("serra"), nprime,
                                          m).band == []
                 b = transfer.b_matrix(GammaProvider("ours"), nprime, m)
-                rows = [i for i in range((nprime + 1) // 2)
-                        if 2 * i > nprime - m and i < m - 1]
-                assert [i for i, _, _ in b.band] == rows, (nprime, m)
-                for i, lo, g in b.band:
-                    assert lo == (nprime if i == 0
-                                  else max(i + 1, nprime - 2 * i))
-                    assert lo + len(g) - 1 == min(nprime - i, m - 1)
+                spans = {j: (-((j - nprime) // 2), min(nprime - j, j - 1))
+                         for j in range(m)}
+                cols = [j for j, (lo, hi) in spans.items() if lo <= hi]
+                assert [j for j, _, _ in b.band] == cols, (nprime, m)
+                for j, lo, g in b.band:
+                    assert (lo, lo + len(g) - 1) == spans[j], (nprime, j)
                     assert all(g)
+                if nprime < m:
+                    assert b.band[-1] == (nprime, 0, (1,))
                 if m == nprime + 1:
-                    assert b.band[0] == (0, nprime, (1,))
                     assert sum(len(g) for _, _, g in b.band) \
                         <= nprime ** 2 // 12 + nprime
 
@@ -483,8 +483,8 @@ class TestBothEnds:
 
 
 class TestEndsFromTheBlock:
-    """Column j and the column sums of B read from the row structure of a
-    block, which a provider serves when it holds a block that covers the
+    """Column j and the column sums of B read from the stored structure of
+    a block, which a provider serves when it holds a block that covers the
     index, and builds from binomials, with no block, otherwise."""
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
