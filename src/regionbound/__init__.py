@@ -3,14 +3,13 @@
 from .archspec import NetworkSpec, ResolvedStage, builtin, parse, resolve
 from .engine import BoundReport, compare, evaluate, sweep
 from .gamma import GammaProvider, GammaVariant, gamma_norm
-from .histogram import Histogram
 from .oracle import (ConcreteNet, RegionCount, count_regions_1d,
                      pattern_lower_bound)
 
 __all__ = [
     "BoundReport", "ConcreteNet", "GammaProvider", "GammaVariant",
-    "Histogram", "NetworkSpec", "RegionCount", "ResolvedStage", "builtin",
-    "compare", "count_regions_1d", "evaluate", "gamma_norm", "parse",
+    "NetworkSpec", "RegionCount", "ResolvedStage", "builtin", "compare",
+    "count_regions_1d", "evaluate", "gamma_norm", "parse",
     "pattern_lower_bound", "resolve", "sweep",
 ]
 

@@ -1,10 +1,12 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 user/input error, 2 resource cap exceeded.
+Exit codes: 0 success (also when the reader closes stdout early), 1
+user/input error, 2 resource cap exceeded.
 """
 from __future__ import annotations
 
 import functools
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +49,11 @@ def _guarded(fn):
         except ColumnCapExceeded as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
+        except BrokenPipeError:
+            # the reader closed stdout: stop quietly, with fd 1 on
+            # os.devnull so that the interpreter's final flush cannot raise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(0)
         except (archspec.ArchSpecError, oracle.OracleError, ValueError,
                 OSError) as exc:
             click.echo(f"error: {exc}", err=True)
@@ -77,12 +84,6 @@ _variant_opt = click.option(
     default="both", show_default=True)
 
 
-def _gamma_lines(provider: GammaProvider, nprime: int) -> Iterator[str]:
-    """Builds the column now and renders its lines as they are written."""
-    col = provider.column(nprime)
-    return (h.render(pad_to=nprime + 1) + "\n" for h in col)
-
-
 def _per_variant(cfg: CliConfig, variant: str, name: str, dims: str,
                  text) -> Iterator[str]:
     """The chunks of text(provider) for each selected variant; with
@@ -105,7 +106,8 @@ def _per_variant(cfg: CliConfig, variant: str, name: str, dims: str,
 def cmd_gamma(cfg: CliConfig, variant, nprime, output):
     """Dump the gamma table column(s) for n' hyperplanes, one histogram per line."""
     _emit(_per_variant(cfg, variant, "gamma", f"[n][{nprime}]",
-                       lambda p: _gamma_lines(p, nprime)), output)
+                       lambda p: ("(" + ",".join(map(str, row)) + ")\n"
+                                  for row in p.column(nprime))), output)
 
 
 @main.command("bmatrix")
@@ -117,8 +119,7 @@ def cmd_gamma(cfg: CliConfig, variant, nprime, output):
 def cmd_bmatrix(cfg: CliConfig, variant, nprime, output):
     """Dump the ReLU-layer B matrix for n' hyperplanes (appendix row layout)."""
     _emit(_per_variant(cfg, variant, "B", f"[{nprime}]",
-                       lambda p: (transfer.b_matrix(p, nprime).render(),
-                                  "\n")),
+                       lambda p: transfer.b_matrix(p, nprime).render()),
           output)
 
 

@@ -1,9 +1,12 @@
 """Tables of per-layer region histograms for the two bound variants.
 
 ``gamma(variant, n, nprime)`` bounds the activation histogram of an
-n-dimensional space cut by nprime hyperplanes.  Both variants have a
-per-entry closed form, so any single gamma(n, nprime) is built without
-its predecessors.
+n-dimensional space cut by nprime hyperplanes in the tail-sum order:
+each sum_{i>=J} of the histogram is at most that of gamma(n, nprime).
+Entry by entry it need not be: relu(x), relu(x-1) on a line give
+(1,1,1) against gamma(1, 2) = (0,2,1).  Both variants have a per-entry
+closed form, so any single gamma(n, nprime) is built without its
+predecessors.
 
 "serra" has entry i equal to C(nprime, i) for i >= nprime - n, else 0.
 
@@ -23,10 +26,10 @@ at s = k, and at n = m the form gives row m of Pascal's triangle.
 Both closed forms are stepped exactly, with no Pascal's triangle: the
 binomial row of nprime is the difference of ``gamma_norms``, and the
 entries i <= k of each "ours" gamma(n, m) step from one ``math.comb``.
-A column therefore costs O(nprime^2) big-int multiply-divides.  It holds
-about nprime^2 entries of up to nprime bits, so its memory grows as
-nprime^3 bits; hence the provider's width cap.  Only the CLI ``gamma``
-command builds whole columns, and the provider keeps none.
+A column therefore costs O(nprime^2) big-int multiply-divides.  It is
+made one gamma(n, nprime) at a time from the binomial row, so reading
+it holds O(nprime^2) bits, a few rows' worth, never the whole column.
+Only the CLI ``gamma`` command reads columns.
 
 The engine needs only the ReLU-layer B matrix, whose off-diagonal
 entries these closed forms make C(nprime, i) on a suffix of each row,
@@ -48,8 +51,8 @@ from __future__ import annotations
 import threading
 from enum import Enum
 from math import comb
+from typing import Iterator
 
-from .histogram import Histogram
 from .transfer import BMatrix
 
 DEFAULT_COLUMN_CAP = 4096
@@ -98,12 +101,13 @@ def gamma_norm(n: int, nprime: int) -> int:
 
 # -- seeds and closed forms ----------------------------------------------------
 
-def first_layer_gamma(n: int) -> Histogram:
-    """Tightest one-dimensional-input seed for n hyperplanes ("ours")."""
+def first_layer_gamma(n: int) -> list[int]:
+    """Tightest one-dimensional-input seed for n hyperplanes ("ours"),
+    entries 0..n."""
     if n < 1:
         raise ValueError("need at least one hyperplane")
     zeros = (n + 1) // 2 - 1
-    return Histogram((0,) * zeros + (n % 2,) + (2,) * (n // 2) + (1,))
+    return [0] * zeros + [n % 2] + [2] * (n // 2) + [1]
 
 
 def _binomial_row(norms: list[int]) -> list[int]:
@@ -123,7 +127,7 @@ def _ours_lower(n: int, nprime: int, stop: int | None = None) -> list[int]:
     k = nprime - n
     count = k + 1 if stop is None else min(stop, k + 1)
     if n == 1:
-        return list(first_layer_gamma(nprime).entries[:count])
+        return first_layer_gamma(nprime)[:count]
     entries = [0] * min((k + 1) // 2, count)
     a = n - 2 + k % 2
     t = comb(a, n - 2)
@@ -185,13 +189,24 @@ def _b_matrix(nprime: int, ours: bool, m: int) -> BMatrix:
     return BMatrix(n, diag, _binomial_row(norms), shift, band)
 
 
+def _column_rows(nprime: int, ours: bool) -> Iterator[tuple[int, ...]]:
+    row = _binomial_row(gamma_norms(nprime, nprime))
+    yield (0,) * nprime + (1,)  # gamma(0, nprime), in both variants
+    for n in range(1, nprime + 1):
+        k = nprime - n
+        if ours:
+            yield tuple(_ours_lower(n, nprime) + row[k + 1:])
+        else:
+            yield tuple([0] * k + row[k:])
+
+
 class GammaProvider:
-    """Builds gamma columns for one variant under a width cap, and caches
+    """Streams gamma columns for one variant under a width cap, and caches
     one block of the ReLU-layer B matrix per width.
 
-    A column is built afresh on every call and not kept; only the CLI
-    ``gamma`` command asks for one.  The engine reads only leading blocks
-    of B, which are built from binomials, with no gamma column, under
+    A column is made afresh, row by row, on every call and not kept; only
+    the CLI ``gamma`` command asks for one.  The engine reads only leading
+    blocks of B, which are built from binomials, with no gamma column, under
     the provider's lock and cap.  A block is rebuilt, larger, only when
     a larger one is asked for; a smaller one is served from it.  Column
     j of B and its column sums are read from the block held for nprime
@@ -216,16 +231,12 @@ class GammaProvider:
         if order > self.cap:
             raise ColumnCapExceeded(nprime, self.cap, order)
 
-    def column(self, nprime: int) -> tuple[Histogram, ...]:
-        """All gamma(n, nprime) for n = 0..nprime."""
+    def column(self, nprime: int) -> Iterator[tuple[int, ...]]:
+        """gamma(n, nprime) for n = 0..nprime, each as its nprime+1
+        entries, made from the closed forms as they are read.  The cap is
+        checked now, before the first row."""
         self.check(nprime, nprime)
-        row = _binomial_row(gamma_norms(nprime, nprime))
-        if self.variant is GammaVariant.SERRA:
-            return tuple(Histogram([0] * (nprime - n) + row[nprime - n:])
-                         for n in range(nprime + 1))
-        return (Histogram.unit(nprime),) + tuple(
-            Histogram(_ours_lower(n, nprime) + row[nprime - n + 1:])
-            for n in range(1, nprime + 1))
+        return _column_rows(nprime, self.variant is GammaVariant.OURS)
 
     def b_column(self, nprime: int, j: int) -> list[int]:
         """Column j of B for nprime, rows 0..j: read from the cached block

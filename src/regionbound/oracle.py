@@ -42,8 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .histogram import Histogram
-
 
 class OracleError(Exception):
     pass
@@ -87,7 +85,7 @@ class RegionCount:
     count: int
     method: str  # sweep1d | pattern_sample
     exact: bool
-    activation_histogram: Histogram | None = None
+    activation_histogram: tuple[int, ...] | None = None
 
 
 # Fraction("1e999999999") would build a 400 MB integer; cap the exponent at
@@ -223,7 +221,7 @@ def count_regions_1d(net: ConcreteNet,
     # one piece per interval (see _map); all pairs share one positive scale
     pieces: list = [([1], [0])]
     scale = 1
-    first_layer_hist: Histogram | None = None
+    first_layer_hist: tuple[int, ...] | None = None
     for li, layer in enumerate(net.layers):
         lcm, weights, bias = _scaled(layer)
         bias = [b * scale for b in bias]
@@ -263,8 +261,8 @@ def count_regions_1d(net: ConcreteNet,
             bps.append(hi)
         bps.pop()  # +inf
         if li == 0:
-            first_layer_hist = Histogram(actives.count(j)
-                                         for j in range(max(actives) + 1))
+            first_layer_hist = tuple(actives.count(j)
+                                     for j in range(max(actives) + 1))
     if net.layers and net.layers[-1].relu:
         # the identity map turns the flips back into full pairs
         w = net.layers[-1].n_out

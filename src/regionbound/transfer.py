@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import add, mul, sub
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
     from .gamma import GammaProvider
@@ -116,22 +116,25 @@ class BMatrix:
         self._fits(k + 1)
         return list(accumulate(self.binom[:k + 1]))
 
-    def _dense_rows(self) -> list[list[int]]:
-        m = self.rows
-        rows = []
+    def _dense_rows(self) -> Iterator[list[int]]:
+        """Rows 0..m-1, each made as it is read.  Row i meets band column
+        j exactly for n'-2i <= j <= n'-i and j > i: the rows
+        (n'-j)/2 <= i <= min(n'-j, j-1) of column j."""
+        n, m = self.nprime, self.rows
+        first = self.band[0][0] if self.band else m
         for i, (d, c) in enumerate(zip(self.diag, self.binom)):
-            start = max(i + 1, self.nprime - i + self.shift)
-            rows.append([0] * i + [d] + [0] * (min(start, m) - i - 1)
-                        + [c] * (m - start))
-        for j, lo, g in self.band:
-            for i, x in enumerate(g, lo):
-                rows[i][j] = x
-        return rows
+            start = max(i + 1, n - i + self.shift)
+            row = ([0] * i + [d] + [0] * (min(start, m) - i - 1)
+                   + [c] * (m - start))
+            for j in range(max(first, n - 2 * i, i + 1), min(n - i + 1, m)):
+                _, lo, g = self.band[j - first]
+                row[j] = g[i - lo]
+            yield row
 
-    def render(self) -> str:
-        """Rows of space-separated decimals (appendix matrix layout)."""
-        return "\n".join(" ".join(map(str, row))
-                         for row in self._dense_rows())
+    def render(self) -> Iterator[str]:
+        """Lines of space-separated decimals (appendix matrix layout), one
+        per row, each made as it is read."""
+        return (" ".join(map(str, row)) + "\n" for row in self._dense_rows())
 
     def transposed(self, w: list[int]) -> list[int]:
         """Exact product B^T w, with len(w) entries: entry j reads only

@@ -1,16 +1,80 @@
 import bisect
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
+from math import comb
 
 from hypothesis import strategies as st
 
 from regionbound import archspec, engine, oracle
 from regionbound.gamma import (GammaProvider, GammaVariant, first_layer_gamma,
                                gamma_norm)
-from regionbound.histogram import Histogram
 
 
 # -- histogram algebra and accessors that only tests use -----------------------
+
+
+class Histogram:
+    """Immutable sequence of non-negative counts, index = dimension.
+
+    Trailing zeros are semantically irrelevant, so they are stripped on
+    construction and plain structural equality gives value equality."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries=()):
+        es = list(entries)
+        for e in es:
+            if e < 0:
+                raise ValueError(f"negative histogram entry: {e}")
+        while es and es[-1] == 0:
+            es.pop()
+        object.__setattr__(self, "entries", tuple(es))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Histogram is immutable")
+
+    @classmethod
+    def unit(cls, n: int) -> "Histogram":
+        """Unit-mass histogram: entry 1 at index n, zeros elsewhere."""
+        return cls((0,) * n + (1,))
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, i: int) -> int:
+        if i < 0:
+            raise IndexError("histogram indices start at 0")
+        return self.entries[i] if i < len(self.entries) else 0
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Histogram):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"Histogram({list(self.entries)})"
+
+    def l1(self) -> int:
+        return sum(self.entries)
+
+    def clip(self, istar: int) -> "Histogram":
+        """Move all mass at indices >= istar down onto index istar."""
+        return Histogram(self.entries[:istar] + (sum(self.entries[istar:]),))
+
+    def render(self, pad_to: int | None = None) -> str:
+        """Canonical "(a,b,c)" text, optionally zero-padded to a length."""
+        es = list(self.entries)
+        if pad_to is not None:
+            es += [0] * (pad_to - len(es))
+        return "(" + ",".join(map(str, es)) + ")"
 
 
 def parse_histogram(text: str) -> Histogram:
@@ -67,7 +131,14 @@ def gamma_entry(provider: GammaProvider, n: int, nprime: int) -> Histogram:
     """gamma(n, nprime); for n > nprime this equals gamma(nprime, nprime)."""
     if n < 0:
         raise ValueError("negative dimension")
-    return provider.column(nprime)[min(n, nprime)]
+    return Histogram(next(islice(provider.column(nprime), min(n, nprime),
+                                 None)))
+
+
+def gamma_column(provider: GammaProvider, nprime: int
+                 ) -> tuple[Histogram, ...]:
+    """All gamma(n, nprime) for n = 0..nprime, read from the row stream."""
+    return tuple(map(Histogram, provider.column(nprime)))
 
 
 def net_to_json(net: oracle.ConcreteNet) -> dict:
@@ -140,13 +211,47 @@ def columns_by_recursion(variant: GammaVariant, nmax: int):
     col = (Histogram.unit(1), Histogram((1, 1)))
     yield col
     for m in range(2, nmax + 1):
-        nxt = [Histogram.unit(m), seed1(m)]
+        nxt = [Histogram.unit(m), Histogram(seed1(m))]
         for n in range(2, m):
             nxt.append(hist_add(col[n - 1], down_move(col[n])))
         # gamma(m, m-1) equals gamma(m-1, m-1) by the n > n' rule
         nxt.append(hist_add(col[m - 1], down_move(col[m - 1])))
         col = tuple(nxt)
         yield col
+
+
+# -- the published bounds the paper compares against -------------------------
+#
+# Stated for MLPs with input dimension n0 and hidden widths n_1..n_L, from
+# the papers' formulas alone: they share no code with the package.
+
+
+def serra_theorem1(n0: int, widths) -> int:
+    """Serra, Tjandraatmadja & Ramalingam 2018, Theorem 1: the sum over
+    (j_1, ..., j_L) in J of prod_l C(n_l, j_l), where J holds the tuples
+    with 0 <= j_l <= min(n0, n_1 - j_1, ..., n_{l-1} - j_{l-1}, n_l)."""
+    widths = tuple(widths)
+
+    @lru_cache(maxsize=None)
+    def count(layer: int, cap: int) -> int:
+        if layer == len(widths):
+            return 1
+        n = widths[layer]
+        return sum(comb(n, j) * count(layer + 1, min(cap, n - j))
+                   for j in range(min(cap, n) + 1))
+
+    return count(0, n0)
+
+
+def montufar2017(n0: int, widths) -> int:
+    """Montufar 2017, "Notes on the number of linear regions of deep
+    neural networks": prod_l sum_{j <= d_l} C(n_l, j), with
+    d_l = min(n0, n_1, ..., n_l)."""
+    total, d = 1, n0
+    for n in widths:
+        d = min(d, n)
+        total *= sum(comb(n, j) for j in range(d + 1))
+    return total
 
 
 def random_mlp_spec(rng: random.Random, max_n0=16, max_width=32, max_depth=6):
@@ -261,7 +366,7 @@ def count_regions_1d_by_fractions(net: oracle.ConcreteNet, domain=None
                 counts = [0] * (max(actives) + 1)
                 for s in actives:
                     counts[s] += 1
-                first_layer_hist = Histogram(counts)
+                first_layer_hist = tuple(counts)
     if domain is not None:
         lo, hi = domain
         keep = [i for i in range(len(bps) + 1)
@@ -384,8 +489,7 @@ def ref_m_matrix(n, nprime):
 
 def ref_b_matrix(provider, nprime):
     """Row-major B: column j is clip(gamma(j, nprime), j)."""
-    col = provider.column(nprime)
-    cols = [col[j].clip(j) for j in range(nprime + 1)]
+    cols = [h.clip(j) for j, h in enumerate(gamma_column(provider, nprime))]
     return [[c[i] for c in cols] for i in range(nprime + 1)]
 
 

@@ -1,14 +1,19 @@
 import decimal
 import gc
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from conftest import (build_gamma1n_witness, gamma_entry, net_to_json,
                       parse_histogram)
+import regionbound
 from regionbound import archspec, engine, transfer
 from regionbound.cli import _parse_int_list, main
 from regionbound.gamma import GammaProvider
@@ -60,8 +65,8 @@ class TestGamma:
 
 
     def test_lines_are_written_as_they_are_made(self, runner, tmp_path):
-        # the column is kept, its text is not: joined, the text took more
-        # memory than the file it makes
+        # neither the column nor its text is kept: joined, the text took
+        # more memory than the file it makes
         out = tmp_path / "g.txt"
         gc.collect()
         tracemalloc.start()
@@ -101,7 +106,7 @@ class TestBMatrix:
     def test_matches_library(self, runner):
         res = runner.invoke(main, ["bmatrix", "--variant", "ours",
                                    "--nprime", "4"])
-        want = transfer.b_matrix(GammaProvider("ours"), 4).render() + "\n"
+        want = "".join(transfer.b_matrix(GammaProvider("ours"), 4).render())
         assert res.output == want
 
     def test_cap_exceeded_exits_two(self, runner):
@@ -112,6 +117,70 @@ class TestBMatrix:
         res = runner.invoke(main, ["--gamma-cap", "4", "bmatrix",
                                    "--nprime", "4"])
         assert res.exit_code == 0
+
+    def test_rows_are_written_as_they_are_made(self, runner, tmp_path):
+        # the dense rows and their text are not kept: the whole text took
+        # twice the memory of the file it makes
+        out = tmp_path / "b.txt"
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = runner.invoke(main, ["bmatrix", "--variant", "ours",
+                                       "--nprime", "400", "-o", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.exit_code == 0
+        assert peak < out.stat().st_size / 2
+
+
+def cli_process(*args: str) -> subprocess.Popen:
+    """``regionbound`` in a child process, its stdout and stderr piped."""
+    src = str(Path(regionbound.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "regionbound.cli", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path))
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early, as ``| head`` does, ends the
+    command with status 0 and nothing on stderr."""
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--n0", "2", "--widths", "8", "--depths", "1..999999999"],
+        ["gamma", "--nprime", "1024"],
+        ["bmatrix", "--nprime", "1024"],
+    ])
+    def test_early_close_exits_zero(self, args):
+        proc = cli_process(*args)
+        try:
+            lines = [proc.stdout.readline() for _ in range(3)]
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert all(line.endswith(b"\n") for line in lines)
+        assert proc.returncode == 0
+        assert err == b""
+
+    def test_output_file_is_unaffected(self, tmp_path):
+        out = tmp_path / "g.txt"
+        proc = cli_process("gamma", "--variant", "serra", "--nprime", "2",
+                           "-o", str(out))
+        try:
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert proc.returncode == 0
+        assert err == b""
+        assert out.read_text() == "(0,0,1)\n(0,2,1)\n(1,2,1)\n"
 
 
 class TestBound:

@@ -8,9 +8,9 @@ from operator import mul
 import pytest
 
 from conftest import (CountingProvider, _ref_factors, _ref_segment,
-                      mlp_bound, random_mlp_spec, random_stage_tree,
-                      ref_mat_vec, reference_bound, reference_per_stage,
-                      stage_transposed)
+                      mlp_bound, montufar2017, random_mlp_spec,
+                      random_stage_tree, ref_mat_vec, reference_bound,
+                      reference_per_stage, serra_theorem1, stage_transposed)
 from regionbound import archspec, engine, transfer
 from regionbound.archspec import ResolvedStage
 from regionbound.gamma import ColumnCapExceeded, GammaProvider, gamma_norm
@@ -81,6 +81,26 @@ class TestDominanceAndDeterminism:
         assert all((op.e if isinstance(op, engine._Clip) else op.k) <= 3
                    for op in ops)
         assert engine.evaluate(stages, "ours", 3).bound == ref[-1][1].l1()
+
+
+class TestPublishedComparators:
+    """The "serra" variant is Serra et al. 2018, Theorem 1, and both
+    variants lie below Montufar 2017 (references in conftest)."""
+
+    def test_references_by_hand(self):
+        # n0 = 2, widths (2, 2): j_1 = 0, 1, 2 give 1*4 + 2*3 + 1*1
+        assert serra_theorem1(2, [2, 2]) == 11
+        assert montufar2017(2, [2, 2]) == 4 * 4
+        assert serra_theorem1(1, [2, 2]) == montufar2017(1, [2, 2]) == 9
+
+    def test_random_mlps(self):
+        rng = random.Random(2018)
+        for _ in range(300):
+            n0 = rng.randint(1, 8)
+            widths = [rng.randint(1, 14) for _ in range(rng.randint(1, 5))]
+            ours, serra = (mlp_bound(n0, widths, v) for v in ("ours", "serra"))
+            assert serra == serra_theorem1(n0, widths), (n0, widths)
+            assert ours <= serra <= montufar2017(n0, widths), (n0, widths)
 
 
 class TestSkipResidual:

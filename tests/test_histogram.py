@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import down_move, hist_add, leq, max_hist, parse_histogram
-from regionbound.histogram import Histogram
+from conftest import (Histogram, down_move, hist_add, leq, max_hist,
+                      parse_histogram)
 
 hists = st.lists(st.integers(min_value=0, max_value=50), max_size=8).map(
     Histogram)

@@ -10,14 +10,13 @@ from operator import mul
 
 import pytest
 
-from conftest import (CountingProvider, b_columns, hist_add, leq,
+from conftest import (CountingProvider, Histogram, b_columns, hist_add, leq,
                       random_stage_tree, ref_b_matrix, ref_m_matrix,
                       ref_mat_vec, reference_bound, reference_per_stage,
                       stage_transposed)
 from regionbound import engine, gamma, transfer
 from regionbound.archspec import ResolvedStage
 from regionbound.gamma import ColumnCapExceeded, GammaProvider, gamma_norm
-from regionbound.histogram import Histogram
 
 OURS_B6 = [
     (1, 0, 0, 0, 0, 0, 1),
@@ -46,7 +45,7 @@ def rand_hist(rng, max_len=8, max_entry=20):
 
 def rendered_rows(b):
     return [tuple(int(x) for x in line.split())
-            for line in b.render().splitlines()]
+            for line in b.render()]
 
 
 def stage_map(stage, d, halved_c=False):
@@ -91,9 +90,21 @@ class TestBMatrix:
         assert cols[2] == Histogram((1, 2, 1))
 
     def test_columns_monotone(self):
-        cols = b_columns(transfer.b_matrix(GammaProvider("ours"), 7))
-        for j in range(7):
-            assert leq(cols[j], cols[j + 1])
+        # B is monotone in the tail-sum order: each tail sum of column j
+        # is at most the same tail sum of column j+1, whether the columns
+        # come from the closed forms, from a block or from its dense rows
+        for variant in ("ours", "serra"):
+            for nprime in range(1, 61):
+                b = transfer.b_matrix(GammaProvider(variant), nprime)
+                ours = variant == "ours"
+                for cols in (
+                        [gamma.b_column(nprime, ours, j)
+                         for j in range(nprime + 1)],
+                        [b.column(j) for j in range(nprime + 1)],
+                        b_columns(b)):
+                    cols = list(map(Histogram, cols))
+                    for j in range(nprime):
+                        assert leq(cols[j], cols[j + 1]), (variant, nprime, j)
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_transposed_matches_row_major(self, variant):
@@ -186,7 +197,8 @@ class TestBMatrix:
             for m in range(1, nprime + 2):
                 b = transfer.b_matrix(GammaProvider(variant), nprime, m)
                 assert b.nprime == nprime
-                assert b._dense_rows() == [row[:m] for row in dense_b[:m]], \
+                assert list(b._dense_rows()) == \
+                    [row[:m] for row in dense_b[:m]], \
                     (nprime, m)
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
@@ -200,7 +212,7 @@ class TestBMatrix:
             for e in range(min(nprime, nprime // 2 + 2) + 1):
                 b = transfer.b_matrix(GammaProvider(variant), nprime, e + 1)
                 norms = gamma.gamma_norms(e, nprime)
-                diagonal = b._dense_rows() == [
+                diagonal = list(b._dense_rows()) == [
                     [x if i == j else 0 for j in range(e + 1)]
                     for i, x in enumerate(norms)]
                 assert diagonal == scaling(e, nprime), (nprime, e)
