@@ -26,22 +26,24 @@ reading it: a scaling returns its factors, and B^T returns B's column
 sums, gamma_norm(j, n_out), since B's diagonal is defined as gamma_norm
 minus the column's off-diagonal sum.
 
-The bound walks unit(n0) through the primitives of every stage as a
-pair (c, j) standing for c*unit(j), while each keeps it a unit: a
-clip(k) sets j = min(j, k), a scaling sets c = c*f[j], and B sets
-c = c*gamma_norm(j, n_out) when its column j is diagonal
+The bound walks unit(n0) as a pair (c, j) standing for c*unit(j),
+mapping each stage when it is reached and reading one entry of each
+primitive: a clip(k) sets j = min(j, k), a scaling sets c = c*f[j], and
+B sets c = c*gamma_norm(j, n_out), streamed with no list once per run
+of equal stages, when its column j is diagonal
 (``gamma.diagonal_column``).  At the first B whose column j is not, the
-bound is c*<column j, w>, w being the transposed pass over the
-primitives after it; if no B stops the walk, the bound is c.  No
-histogram is built.  Column j and the column sums come from the gamma
-provider, which reads them from the block of B it holds for n_out when
-that block covers the index, and otherwise builds them from binomials
-in O(j) steps, building no block.  B^T of any other vector reads the
-leading (min(d_eff, n_out) + 1)-block of B.  A ReLU stage checks that
-block's order against the provider's cap when its map is built and
-fetches the block only for such a product.  The gamma provider keeps
-one block per width, so a provider passed to repeated ``evaluate``
-calls shares them.  All arithmetic is exact.
+rest is mapped and the bound is c*<column j, w>, w being its transposed
+pass, or c*gamma_norm(j, n_out) while that is all ones; if no B stops
+the walk, the bound is c.  No histogram is built.  A skip body stays
+one eager pass, since the benchmark pins the blocks of B it fetches
+(ROADMAP item 1).  Column j, the column sums and a norm come from the
+gamma provider's block of B for n_out when that covers the index, else
+from binomials in O(j) steps, building no block.  B^T of any other
+vector reads the leading (min(d_eff, n_out) + 1)-block of B.  A ReLU
+stage checks that block's order against the provider's cap when its
+map is built and fetches the block only for such a product.  The gamma
+provider keeps one block per width, so a provider passed to repeated
+``evaluate`` calls shares them.  All arithmetic is exact.
 """
 from __future__ import annotations
 
@@ -49,13 +51,14 @@ import decimal
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import tee
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from . import transfer
 from .archspec import ResolvedStage, mlp, resolve
 from .gamma import (DEFAULT_COLUMN_CAP, GammaProvider, GammaVariant,
-                    diagonal_column, gamma_norms)
+                    diagonal_column, gamma_norm, gamma_norms)
 
 
 @dataclass(frozen=True)
@@ -97,10 +100,11 @@ def format_ratio(ratio: Fraction, digits: int = 4) -> str:
         d = decimal.Decimal(ratio.numerator) / decimal.Decimal(ratio.denominator)
     exp = d.adjusted()
     if 0 <= exp < digits + 3:
-        with decimal.localcontext() as ctx:
-            ctx.prec = max(digits, exp + 1)
-            d = decimal.Decimal(ratio.numerator) / decimal.Decimal(
-                ratio.denominator)
+        if exp + 1 > max(digits, 1):  # more integer digits than precision
+            with decimal.localcontext() as ctx:
+                ctx.prec = exp + 1
+                d = decimal.Decimal(ratio.numerator) / decimal.Decimal(
+                    ratio.denominator)
         return str(d)
     return _mantissa(d, digits)
 
@@ -135,13 +139,26 @@ class _Scale:
 
     __slots__ = ("factors",)
 
-    def __init__(self, factors: list[int]):
+    def __init__(self, factors: list[int] | _Norms):
         self.factors = factors
 
     def transposed(self, w: list[int] | None) -> list[int]:
         if w is None:  # all ones
             return list(self.factors)
         return [x * f for x, f in zip(w, self.factors)]
+
+
+class _Norms:
+    """gamma_norm(n, c), n = 0..e: one made when indexed, all when iterated."""
+
+    def __init__(self, e: int, c: int):
+        self.e, self.c = e, c
+
+    def __getitem__(self, n: int) -> int:
+        return gamma_norm(n, self.c)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(gamma_norms(self.e, self.c))
 
 
 class _ReLU:
@@ -163,7 +180,7 @@ class _ReLU:
 
     def norm(self, j: int) -> int:
         """gamma_norm(j, n'), the sum of column j."""
-        return self.provider.column_sums(self.nprime, j)[j]
+        return self.provider.norm(self.nprime, j)
 
     def column(self, j: int) -> list[int]:
         return self.provider.b_column(self.nprime, j)
@@ -201,13 +218,14 @@ def _stage_map(stage: ResolvedStage, e: int, provider: GammaProvider,
         c = (stage.k * stage.k - stage.k) * n_out
         if halved_c:
             c //= 2
-        return [_Scale(gamma_norms(e, c)), _Clip(n_out, e)], min(e, n_out)
+        return [_Scale(_Norms(e, c)), _Clip(n_out, e)], min(e, n_out)
     if stage.kind in ("skip", "residual"):
         # entry j is the number of regions the body carves out of one
         # j-dimensional region; concatenating or adding the input back
         # restores each region's dimension to j
         body, _ = _stage_maps(stage.body, e, provider, halved_c)
-        return [_Scale(_column_sums(body, e))], e
+        f = _transposed(body)
+        return [_Scale([1] * (e + 1) if f is None else f)], e
     raise ValueError(f"unknown stage kind '{stage.kind}'")
 
 
@@ -223,14 +241,13 @@ def _stage_maps(stages: Sequence[ResolvedStage], e: int,
     return ops, e
 
 
-def _column_sums(ops: Sequence[_Op], e: int) -> list[int]:
-    """1^T M for the product M of the primitives, which start at d_eff =
-    e: the transposed pass from the all-ones vector.  The pass carries
-    the ones as None, which clips keep, until a scaling or B reads them."""
-    w = None
+def _transposed(ops: Sequence[_Op],
+                w: list[int] | None = None) -> list[int] | None:
+    """M^T w for the product M of the primitives, None standing for the
+    all-ones vector, which clips keep until a scaling or B reads it."""
     for op in reversed(ops):
         w = op.transposed(w)
-    return [1] * (e + 1) if w is None else w
+    return w
 
 
 def evaluate(stages: Sequence[ResolvedStage], variant: GammaVariant | str,
@@ -245,20 +262,26 @@ def evaluate(stages: Sequence[ResolvedStage], variant: GammaVariant | str,
         provider = GammaProvider(variant)
     elif provider.variant is not variant:
         raise ValueError("provider variant does not match requested variant")
-    ops, _ = _stage_maps(stages, n0, provider, halved_c)
-    # walk c*unit(j) from unit(n0) while each primitive keeps it a unit
-    c, j = 1, n0
-    for i, op in enumerate(ops):
-        if isinstance(op, _Clip):
-            j = min(j, op.k)
-        elif isinstance(op, _Scale):
-            c *= op.factors[j]
-        elif op.diagonal(j):
-            c *= op.norm(j)
-        else:  # c times column j, met by the transposed pass of the rest
-            w = _column_sums(ops[i + 1:], op.k)
-            c *= sum(map(mul, w, op.column(j)))
-            break
+    # walk c*unit(j) from unit(n0); last: (n', j, norm) of a diagonal B
+    c, j, e, last = 1, n0, n0, None
+    for i, stage in enumerate(stages):
+        ops, e = _stage_map(stage, e, provider, halved_c)
+        for op in ops:
+            if isinstance(op, _Clip):
+                j = min(j, op.k)
+            elif isinstance(op, _Scale):
+                c *= op.factors[j]
+            elif op.diagonal(j):
+                if last is None or last[:2] != (op.nprime, j):
+                    last = op.nprime, j, op.norm(j)
+                c *= last[2]
+            else:  # c times column j, met by the transposed pass of the
+                # stages after this one (B ends its stage's map)
+                rest, _ = _stage_maps(stages[i + 1:], e, provider, halved_c)
+                w = _transposed(rest)
+                c *= op.norm(j) if w is None else sum(map(mul, w,
+                                                          op.column(j)))
+                return BoundReport(c, variant, digits)
     return BoundReport(c, variant, digits)
 
 
@@ -280,16 +303,37 @@ def sweep(n0: int, widths: Iterable[int], depths: Iterable[int], *,
     """Rows (n0, ni, k, bound_ours, bound_serra, ratio), width-major then
     depth, each made when it is read; ``depths`` is iterated once per
     width."""
-    ours_provider = GammaProvider(GammaVariant.OURS, cap=gamma_cap)
-    serra_provider = GammaProvider(GammaVariant.SERRA, cap=gamma_cap)
+    ours = GammaProvider(GammaVariant.OURS, cap=gamma_cap)
+    serra = GammaProvider(GammaVariant.SERRA, cap=gamma_cap)
     for ni in widths:
-        for k in depths:
-            stages = resolve(mlp(n0, ni, k))
-            bo = evaluate(stages, GammaVariant.OURS, n0,
-                          provider=ours_provider).bound
-            bs = evaluate(stages, GammaVariant.SERRA, n0,
-                          provider=serra_provider).bound
+        ks, ko, kse = tee(depths, 3)
+        for k, bo, bs in zip(ks, _mlp_bounds(n0, ni, ko, ours),
+                             _mlp_bounds(n0, ni, kse, serra)):
             yield n0, ni, k, bo, bs, format_ratio(Fraction(bs, bo), digits)
+
+
+def _mlp_bounds(n0: int, ni: int, depths: Iterable[int],
+                provider: GammaProvider) -> Iterator[int]:
+    """``evaluate`` of mlp(n0, ni, k) for each depth k: the walk meets the
+    first B at j = e = min(n0, ni), and the hidden stages share one map,
+    so the bound is <w_k, column e> for the transposed pass w_k over k - 1
+    hidden stages and the readout, a chain that a smaller k restarts."""
+    relu = None
+    for k in depths:
+        if k < 1:  # no ReLU stage, or a negative depth, which raises
+            yield evaluate(resolve(mlp(n0, ni, k)), provider.variant, n0,
+                           provider=provider).bound
+            continue
+        if relu is None:  # clip, B, then a hidden stage, then the readout
+            _, relu, *step, end = _stage_maps(resolve(mlp(n0, ni, 2)), n0,
+                                              provider, False)[0]
+            e, depth = relu.k, k + 1
+            norm, column = relu.norm(e), relu.column(e)
+        if k < depth:
+            depth, w = 1, end.transposed(None)
+        while depth < k:
+            depth, w = depth + 1, _transposed(step, w)
+        yield norm if w is None else sum(map(mul, w, column))
 
 
 SWEEP_HEADER = "n0,ni,k,bound_ours,bound_serra,ratio"

@@ -24,7 +24,7 @@ them.  The entry i = k, 2*C(m-2, n-1) + C(m-2, n-2), is the same form
 at s = k, and at n = m the form gives row m of Pascal's triangle.
 
 Both closed forms are stepped exactly, with no Pascal's triangle: the
-binomial row of nprime is the difference of ``gamma_norms``, and the
+binomial row of nprime steps from C(nprime, 0) = 1, and the
 entries i <= k of each "ours" gamma(n, m) step from one ``math.comb``.
 A column therefore costs O(nprime^2) big-int multiply-divides.  It is
 made one gamma(n, nprime) at a time from the binomial row, so reading
@@ -40,9 +40,10 @@ min(d_eff, nprime).  The provider builds a block of order m-1 from
 those binomials directly, in O(m) big-int steps for "serra" and at
 most O(m^2) for "ours", without a column, and keeps one block per
 nprime.  The engine also reads the two ends of B, column j
-(``b_column``) and the column sums (``gamma_norms``); the provider
-reads them from its block when that covers the index and otherwise
-steps them from binomials in O(j), never building a block for them.
+(``b_column``) and the column sums (``gamma_norms``), and one column
+sum (``gamma_norm``, a running sum with no list); the provider reads
+them from its block when that covers the index and otherwise steps
+them from binomials in O(j), never building a block for them.
 Column j is gamma_norm(j, nprime) times unit(j) when
 ``diagonal_column`` holds.
 """
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import threading
 from enum import Enum
+from itertools import accumulate
 from math import comb
 from typing import Iterator
 
@@ -78,25 +80,27 @@ class ColumnCapExceeded(Exception):
 
 # -- binomials (exact multiplicative steps) -----------------------------------
 
-def gamma_norms(nmax: int, nprime: int) -> list[int]:
-    """[gamma_norm(n, nprime) for n = 0..nmax] in O(nmax) big-int steps.
-
-    Uses C(nprime, s+1) = C(nprime, s) * (nprime - s) // (s + 1), which is
-    exact and reaches 0 at s = nprime, so no Pascal row is built or kept.
-    """
-    if nmax < 0 or nprime < 0:
+def _binomials(n: int, nprime: int) -> Iterator[int]:
+    """C(nprime, s) for s = 0..n by C(nprime, s+1) = C(nprime, s) *
+    (nprime - s) // (s + 1), exact and 0 from s = nprime on."""
+    if n < 0 or nprime < 0:
         raise ValueError("negative arguments")
-    norms = [1]
     term = 1
-    for s in range(nmax):
+    yield term
+    for s in range(n):
         term = term * (nprime - s) // (s + 1)
-        norms.append(norms[-1] + term)
-    return norms
+        yield term
+
+
+def gamma_norms(nmax: int, nprime: int) -> list[int]:
+    """[gamma_norm(n, nprime) for n = 0..nmax]."""
+    return list(accumulate(_binomials(nmax, nprime)))
 
 
 def gamma_norm(n: int, nprime: int) -> int:
-    """Total mass of gamma(n, nprime): sum_{s<=min(n,nprime)} C(nprime, s)."""
-    return gamma_norms(n, nprime)[-1]
+    """Total mass of gamma(n, nprime): sum_{s<=min(n,nprime)} C(nprime, s),
+    summed as the binomials are made, keeping no list."""
+    return sum(_binomials(min(n, nprime), nprime))
 
 
 # -- seeds and closed forms ----------------------------------------------------
@@ -108,11 +112,6 @@ def first_layer_gamma(n: int) -> list[int]:
         raise ValueError("need at least one hyperplane")
     zeros = (n + 1) // 2 - 1
     return [0] * zeros + [n % 2] + [2] * (n // 2) + [1]
-
-
-def _binomial_row(norms: list[int]) -> list[int]:
-    """C(nprime, 0..nprime) from norms = ``gamma_norms(nprime, nprime)``."""
-    return [1] + [b - a for a, b in zip(norms, norms[1:])]
 
 
 def _ours_lower(n: int, nprime: int, stop: int | None = None) -> list[int]:
@@ -142,15 +141,14 @@ def b_column(nprime: int, ours: bool, j: int) -> list[int]:
     """Column j of the ReLU-layer B matrix, clip(gamma(j, nprime), j),
     0 <= j <= nprime: entries i < j of gamma(j, nprime), then their sum
     taken from gamma_norm(j, nprime); O(j) big-int steps, no block."""
-    norms = gamma_norms(j, nprime)
-    row, k = _binomial_row(norms), nprime - j  # row: C(nprime, 0..j)
+    row, k = list(_binomials(j, nprime)), nprime - j  # C(nprime, 0..j)
     if not ours:
         off = [0] * min(k, j) + row[k:j]
     elif j:
         off = _ours_lower(j, nprime, j) + row[k + 1:j]
     else:  # gamma(0, nprime) = unit(nprime) has no entry below index 0
         off = []
-    return off + [norms[-1] - sum(off)]
+    return off + [sum(row) - sum(off)]
 
 
 def diagonal_column(nprime: int, ours: bool, j: int) -> bool:
@@ -165,13 +163,14 @@ def _b_matrix(nprime: int, ours: bool, m: int) -> BMatrix:
     from its structure (see ``regionbound.transfer``), built from
     binomials with no gamma column.
 
-    It needs ``gamma_norms(m-1, nprime)``, whose differences are the
-    first m binomials, and for "ours" the band columns
+    It needs the first m binomials and their prefix sums
+    ``gamma_norms(m-1, nprime)``, and for "ours" the band columns
     (nprime+2)/3 <= j < m: the entries from row (nprime-j)/2 on that
     ``_ours_lower`` steps for gamma(j, nprime).
     """
     n = nprime
-    norms = gamma_norms(m - 1, n)  # norms[j] = gamma_norm(j, n)
+    binom = list(_binomials(m - 1, n))
+    norms = list(accumulate(binom))  # norms[j] = gamma_norm(j, n)
     off = [0] * m  # off-diagonal sum of each column
     band: list[tuple[int, int, tuple[int, ...]]] = []
     if ours:
@@ -186,11 +185,11 @@ def _b_matrix(nprime: int, ours: bool, m: int) -> BMatrix:
         first = n + shift - j
         off[j] += norms[j - 1] - (norms[first - 1] if first > 0 else 0)
     diag = [g - o for g, o in zip(norms, off)]
-    return BMatrix(n, diag, _binomial_row(norms), shift, band)
+    return BMatrix(n, diag, binom, shift, band)
 
 
 def _column_rows(nprime: int, ours: bool) -> Iterator[tuple[int, ...]]:
-    row = _binomial_row(gamma_norms(nprime, nprime))
+    row = list(_binomials(nprime, nprime))
     yield (0,) * nprime + (1,)  # gamma(0, nprime), in both variants
     for n in range(1, nprime + 1):
         k = nprime - n
@@ -246,6 +245,13 @@ class GammaProvider:
         if b is not None and b.rows > j:
             return b.column(j)
         return b_column(nprime, self.variant is GammaVariant.OURS, j)
+
+    def norm(self, nprime: int, j: int) -> int:
+        """gamma_norm(j, nprime), read as ``column_sums`` reads it."""
+        b = self._b_matrices.get(nprime)
+        if b is not None and b.rows > j:
+            return sum(b.binom[:j + 1])
+        return gamma_norm(j, nprime)
 
     def column_sums(self, nprime: int, k: int) -> list[int]:
         """Sums of columns 0..k of B for nprime, ``gamma_norms(k,

@@ -564,8 +564,8 @@ def stage_transposed(ops, w):
 
 class CountingProvider(GammaProvider):
     """A gamma provider that records (n', m) of every block of B asked of
-    it, and every column ("column", n', j) and column-sums ("sums", n', k)
-    read of it."""
+    it, and every column ("column", n', j), column sum ("norm", n', j) and
+    column-sums list ("sums", n', k) read of it."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -579,6 +579,10 @@ class CountingProvider(GammaProvider):
     def b_column(self, nprime: int, j: int):
         self.reads.append(("column", nprime, j))
         return super().b_column(nprime, j)
+
+    def norm(self, nprime: int, j: int):
+        self.reads.append(("norm", nprime, j))
+        return super().norm(nprime, j)
 
     def column_sums(self, nprime: int, k: int):
         self.reads.append(("sums", nprime, k))

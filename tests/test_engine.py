@@ -1,3 +1,4 @@
+import decimal
 import gc
 import math
 import random
@@ -11,7 +12,7 @@ from conftest import (CountingProvider, _ref_factors, _ref_segment,
                       mlp_bound, montufar2017, random_mlp_spec,
                       random_stage_tree, ref_mat_vec, reference_bound,
                       reference_per_stage, serra_theorem1, stage_transposed)
-from regionbound import archspec, engine, transfer
+from regionbound import archspec, engine, gamma, transfer
 from regionbound.archspec import ResolvedStage
 from regionbound.gamma import ColumnCapExceeded, GammaProvider, gamma_norm
 
@@ -223,7 +224,7 @@ class TestTransposedPass:
                                 body=body))
         ops, e = engine._stage_maps(stages, 3, GammaProvider("ours"), False)
         assert e == 3
-        assert [len(op.factors) for op in ops
+        assert [len(list(op.factors)) for op in ops
                 if isinstance(op, engine._Scale)] == [4, 4]
         assert engine.evaluate(stages, "ours", 3).bound \
             == reference_bound(stages, "ours", 3)
@@ -410,8 +411,9 @@ class TestWalk:
     def test_walk_stops_at_the_first_off_diagonal_relu(self, variant):
         # j = 2 throughout: dense 16 is diagonal at j = 2, the maxpool and
         # the skip scale, and dense 3 is not diagonal (3j >= n' + 2 and
-        # 2j > n'); the walk reads column 2 of that B and meets it with
-        # the column sums of the last ReLU stage, fetching no block
+        # 2j > n'); the walk reads one column sum of dense 16, no list,
+        # then column 2 of dense 3's B, and meets it with the column sums
+        # of the last ReLU stage, fetching no block
         stages = (ResolvedStage("dense", 2, 16, relu=True),
                   ResolvedStage("maxpool", 16, 8, k=2),
                   ResolvedStage("skip", 8, 16, body=(
@@ -421,8 +423,8 @@ class TestWalk:
                   ResolvedStage("dense", 5, 1))
         p = CountingProvider(variant)
         report = engine.evaluate(stages, variant, 2, provider=p)
-        assert p.reads == [("sums", 8, 2),  # the skip body, at map build
-                           ("sums", 16, 2),  # gamma_norm(2, 16)
+        assert p.reads == [("norm", 16, 2),  # gamma_norm(2, 16)
+                           ("sums", 8, 2),  # the skip body, as it is reached
                            ("sums", 5, 2),  # the pass after dense 3
                            ("column", 3, 2)]
         assert p.fetches == []
@@ -468,6 +470,67 @@ class TestWideLayers:
         assert peak < 64 * 2 ** 20
 
 
+class TestOneEntryPerStage:
+    """The walk reads one column sum per diagonal ReLU stage, streamed
+    with no list, and stops without building column j when the transposed
+    pass of the stages after it is all ones."""
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_diagonal_norms_keep_no_list(self, variant):
+        # d_eff 3000 at n' = 12000 is diagonal in both variants; the
+        # prefix sums of gamma_norms(3000, 12000) took 2.4 MiB
+        stages = archspec.resolve(archspec.mlp(3000, 12000, 2))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = engine.evaluate(stages, variant, 3000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.bound == gamma_norm(3000, 12000) ** 2
+        assert peak < 256 * 2 ** 10
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    @pytest.mark.parametrize("n0,width", [(784, 128), (64, 100)])
+    def test_all_ones_stop_reads_no_column(self, variant, n0, width):
+        # column min(n0, width) is off the diagonal, and only the readout
+        # follows: the bound is that column's sum
+        stages = archspec.resolve(archspec.mlp(n0, width, 1))
+        p = CountingProvider(variant)
+        report = engine.evaluate(stages, variant, n0, provider=p)
+        assert p.reads == [("norm", width, min(n0, width))]
+        assert p.fetches == []
+        assert report.bound == gamma_norm(n0, width) \
+            == reference_bound(stages, variant, n0)
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_run_of_equal_stages_reads_one_norm(self, variant):
+        # six diagonal stages of width 64 at j = 8, then one of width 40
+        stages = archspec.resolve(archspec.mlp(8, 64, 6))
+        stages = stages[:-1] + (ResolvedStage("dense", 64, 40, relu=True),
+                                stages[-1])
+        p = CountingProvider(variant)
+        report = engine.evaluate(stages, variant, 8, provider=p)
+        assert p.reads == [("norm", 64, 8), ("norm", 40, 8)]
+        assert report.bound == gamma_norm(8, 64) ** 6 * gamma_norm(8, 40)
+
+    def test_gamma_norm_edges(self):
+        assert gamma_norm(0, 0) == gamma_norm(0, 7) == 1
+        assert gamma_norm(5, 0) == 1
+        for nprime in range(8):
+            for n in range(nprime, nprime + 3):
+                assert gamma_norm(n, nprime) == 2 ** nprime
+        for args in ((-1, 3), (3, -1), (-1, -1)):
+            with pytest.raises(ValueError, match="negative arguments"):
+                gamma_norm(*args)
+
+    def test_gamma_norm_is_the_last_prefix_sum(self):
+        for nprime in range(61):
+            for n in range(61):
+                assert gamma_norm(n, nprime) == \
+                    gamma.gamma_norms(n, nprime)[-1], (n, nprime)
+
+
 class TestCompareAndSweep:
     def test_compare_deep_narrow(self):
         spec = archspec.mlp(10, 6, 3)
@@ -481,6 +544,55 @@ class TestCompareAndSweep:
         assert [(r[1], r[2]) for r in rows] == \
             [(6, 1), (6, 2), (6, 3), (8, 1), (8, 2), (8, 3)]
         assert all(r[4] >= r[3] for r in rows)
+
+    @pytest.mark.parametrize("n0,widths", [
+        (3, [16, 40]),  # diagonal in both variants, n0 below the width
+        (6, [4, 7, 9]),  # off the diagonal, n0 above and below the width
+        (12, [5, 12, 30])])  # off the diagonal, then diagonal ("serra")
+    def test_sweep_rows_are_evaluate_rows(self, n0, widths):
+        # unordered and repeated depths restart or reuse the chain
+        depths = [5, 3, 5, 1, 30, 0, 2]
+        rows = list(engine.sweep(n0, widths, depths))
+        assert [(r[1], r[2]) for r in rows] == \
+            [(ni, k) for ni in widths for k in depths]
+        for _, ni, k, bo, bs, ratio in rows:
+            stages = archspec.resolve(archspec.mlp(n0, ni, k))
+            assert (bo, bs) == tuple(
+                engine.evaluate(stages, v, n0,
+                                provider=GammaProvider(v)).bound
+                for v in ("ours", "serra")), (ni, k)
+            assert ratio == engine.format_ratio(Fraction(bs, bo))
+
+    def test_sweep_covers_both_regimes(self):
+        # the widths above take the diagonal and the chain path each
+        diagonal = {(n0, ni, variant): engine._ReLU(
+                        GammaProvider(variant), ni, min(n0, ni)).diagonal(
+                            min(n0, ni))
+                    for n0, ni in ((3, 16), (3, 40), (6, 4), (6, 7), (6, 9),
+                                   (12, 5), (12, 12), (12, 30))
+                    for variant in ("ours", "serra")}
+        assert set(diagonal.values()) == {True, False}
+        assert diagonal[12, 30, "serra"] and not diagonal[12, 30, "ours"]
+
+    def test_sweep_reads_depths_once_per_width(self):
+        reads = []
+
+        class Depths:
+            def __iter__(self):
+                reads.append(None)
+                return iter([2, 1])
+
+        assert len(list(engine.sweep(4, [3, 9], Depths()))) == 4
+        assert len(reads) == 2
+
+    def test_sweep_errors_match_evaluate(self):
+        with pytest.raises(archspec.ArchSpecError):
+            list(engine.sweep(4, [3], [1, -1]))
+        with pytest.raises(ColumnCapExceeded):
+            list(engine.sweep(4, [9], [1], gamma_cap=3))
+        # a depth without a ReLU stage checks no cap
+        assert list(engine.sweep(4, [9], [0], gamma_cap=3)) == \
+            [(4, 9, 0, 1, 1, "1")]
 
     def test_empty_depths(self):
         assert list(engine.sweep(10, [6, 8], [])) == []
@@ -510,6 +622,38 @@ class TestRendering:
         assert engine.format_ratio(Fraction(1031, 1000)) == "1.031"
         big = Fraction(1080, 1000) * 10 ** 405
         assert engine.format_ratio(big) == "1.080×10^405"
+
+    def test_ratio_divides_once_within_precision(self):
+        # the second division of the old form repeated the first exactly
+        # unless the integer part needs more digits than the precision
+        def two_divisions(ratio, digits):
+            with decimal.localcontext() as ctx:
+                ctx.prec = max(digits, 1)
+                d = decimal.Decimal(ratio.numerator) / decimal.Decimal(
+                    ratio.denominator)
+            exp = d.adjusted()
+            if 0 <= exp < digits + 3:
+                with decimal.localcontext() as ctx:
+                    ctx.prec = max(digits, exp + 1)
+                    d = decimal.Decimal(ratio.numerator) / decimal.Decimal(
+                        ratio.denominator)
+                return str(d)
+            return engine._mantissa(d, digits)
+
+        # carries: 10^(p+1) - 5 over 10^q rounds up to a power of ten at
+        # p digits, as 99995/10000 gives 10.00 at 4
+        cases = [(Fraction(10 ** (p + 1) - 5, 10 ** q), p)
+                 for p in range(0, 7) for q in range(0, p + 5)]
+        rng = random.Random(89)
+        for _ in range(2000):
+            den = rng.randrange(1, 10 ** rng.randint(1, 30))
+            num = den * rng.randrange(1, 10 ** rng.randint(1, 12)) \
+                + rng.randrange(den)
+            cases.append((Fraction(num, den), rng.randint(1, 8)))
+        for ratio, digits in cases:
+            assert engine.format_ratio(ratio, digits) == \
+                two_divisions(ratio, digits), (ratio, digits)
+        assert engine.format_ratio(Fraction(99995, 10000), 4) == "10.00"
 
     def test_gamma_norm_consistency(self):
         # single-hidden-layer bound equals the norm shortcut
