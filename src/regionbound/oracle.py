@@ -5,32 +5,32 @@ a sampling lower bound on activation regions (distinct activation
 patterns) for any input dimension.
 
 Weights and biases are ``Fraction``s, but both counters run on plain
-integers.  Each call multiplies a layer by L, the lcm of its weight and
-bias denominators, giving integer ``W·L`` and ``bias·L``.  The sweep keeps
+integers.  Each layer is multiplied by L, the lcm of its weight and bias
+denominators, giving integer ``W·L`` and ``bias·L``; the two counters
+share that conversion for the last net they were given.  The sweep keeps
 every unit's (slope, intercept) on every interval multiplied by one common
 scale S > 0, the product of the L's so far; the next layer's pair is
 ``(Σ W·L·a, Σ W·L·b + bias·L·S)`` at scale L·S.  Because S is positive and
 the same for every interval and unit, nothing that is compared changes: a
-root is still -b/a, the unit is active at p/q (q > 0) iff ``a·p + b·q > 0``,
-a unit crosses zero inside an interval iff its signs at the two ends are
-strictly opposite, and two intervals carry equal scaled pairs iff they
-carry equal rational ones.  The sampler does the same with inputs drawn as
-integers over 10**6.
+root is still -b/a, a unit's sign at p/q (q > 0) is that of ``a·p + b·q``,
+and two intervals carry equal scaled pairs iff they carry equal rational
+ones.  The sampler does the same with inputs drawn as integers over 10**6.
 
 Breakpoints are integer pairs (p, q) with q > 0 and gcd(p, q) = 1, so equal
-points are equal tuples.  A ReLU layer's new breakpoints are the roots
-strictly inside each interval, so they are spliced into that interval
-alone: a dict maps each root to its units (coincident units merge), and
-the roots are sorted by the exact key p·(D/q), D the lcm of their q's.
-Activity is read once per interval, at the integer midpoint of its first
-sub-interval; no ``Fraction`` is built.  Each unit is affine on the
-interval with its root strictly inside, so it changes sign exactly once,
-there: it turns on if its slope is positive and off otherwise.  Only the
-first sub-interval keeps its clamped pair and pays the full product with
-the next layer's W; each later one is stored as its flips (u, ±a, ±b), and
-the next layer adds ±(a, b)·W[:, u] per flip to its left neighbour's
-result.  All pairs share one positive scale, so that sum is exactly the
-full product's pair.
+points are equal tuples.  Every pre-activation is continuous in x, so a
+ReLU layer evaluates each unit once per breakpoint (at -inf and +inf it
+takes the sign of the slope, or of the intercept when the slope is 0).  A
+unit crosses zero inside an interval iff its end signs are strictly
+opposite; there it turns on if its slope is positive and off otherwise.
+It is on in the first sub-interval iff its left-end sign is positive, or 0
+with a positive right-end sign.  The roots are spliced into their interval
+alone: a dict maps each to its units (coincident units merge), and two or
+more are sorted by the exact key p·(D/q), D the lcm of their q's.  Only
+the first sub-interval keeps its clamped pair; each later one is stored as
+its flips (u, ±a, ±b), and the next layer adds ±(a, b)·W[:, u] per flip to
+its left neighbour's result.  Of the full pairs, only the first takes
+W·intercepts; a later one's follow by continuity from its left neighbour's
+at their shared breakpoint.  No ``Fraction`` is built.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ import json
 import math
 import random
 import re
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -160,16 +161,6 @@ def net_from_json(text: str | dict) -> ConcreteNet:
 
 # -- exact 1-D sweep ------------------------------------------------------------
 
-def _midpoint(lo: tuple[int, int], hi: tuple[int, int]) -> tuple[int, int]:
-    """Interior point (p, q), q > 0, of the interval between projective ends."""
-    (pl, ql), (ph, qh) = lo, hi
-    if not ql:
-        return (ph - qh, qh) if qh else (0, 1)
-    if not qh:
-        return pl + ql, ql
-    return pl * qh + ph * ql, 2 * ql * qh
-
-
 def _scaled(layer: Layer) -> tuple[int, list[tuple[int, ...]], list[int]]:
     """(L, W·L, bias·L) with L the lcm of the layer's denominators."""
     rows = [[x.as_integer_ratio() for x in row] for row in layer.weights]
@@ -179,17 +170,31 @@ def _scaled(layer: Layer) -> tuple[int, list[tuple[int, ...]], list[int]]:
     return lcm, weights, [p * (lcm // q) for p, q in bias]
 
 
-def _map(weights: list[tuple[int, ...]], bias: list[int], pieces: list
-         ) -> list[tuple[list[int], list[int]]]:
+_last: tuple[weakref.ref, list] | None = None  # (last net, its _scaled rows)
+
+
+def _scaled_layers(net: ConcreteNet) -> list:
+    """Every layer's ``_scaled``, cached for the last net (held weakly)."""
+    global _last
+    last = _last
+    if last is None or last[0]() is not net:
+        last = _last = weakref.ref(net), [_scaled(x) for x in net.layers]
+    return last[1]
+
+
+def _map(weights: list[tuple[int, ...]], bias: list[int], pieces: list,
+         bps: list[tuple[int, int]]) -> list[tuple[list[int], list[int]]]:
     """Every interval's next-layer pair (W·slopes, W·intercepts + bias).
 
     A piece is an interval's (slopes, intercepts), or the list of flips
     (u, da, db) that add (da, db) to unit u of its left neighbour's pair;
-    each flip adds (da, db)·W[:, u] to the neighbour's result.
+    each flip adds (da, db)·W[:, u] to the neighbour's result.  A later full
+    piece takes W·slopes alone: its intercepts are its neighbour's plus
+    (left slopes - slopes)·p/q at their shared breakpoint p/q, exactly.
     """
     cols = list(zip(*weights))
     out = []
-    for piece in pieces:
+    for i, piece in enumerate(pieces):
         if type(piece) is list:
             slopes, icepts = out[-1]
             for u, da, db in piece:
@@ -198,8 +203,13 @@ def _map(weights: list[tuple[int, ...]], bias: list[int], pieces: list
                 icepts = [c + w * db for c, w in zip(icepts, col)]
         else:
             slopes = [sum(map(mul, wrow, piece[0])) for wrow in weights]
-            icepts = [sum(map(mul, wrow, piece[1])) + b
-                      for wrow, b in zip(weights, bias)]
+            if out:
+                (p, q), (left, icepts) = bps[i - 1], out[-1]
+                icepts = [c + (sl - s) * p // q
+                          for c, sl, s in zip(icepts, left, slopes)]
+            else:
+                icepts = [sum(map(mul, wrow, piece[1])) + b
+                          for wrow, b in zip(weights, bias)]
         out.append((slopes, icepts))
     return out
 
@@ -222,43 +232,49 @@ def count_regions_1d(net: ConcreteNet,
     pieces: list = [([1], [0])]
     scale = 1
     first_layer_hist: tuple[int, ...] | None = None
-    for li, layer in enumerate(net.layers):
-        lcm, weights, bias = _scaled(layer)
+    for li, (lcm, weights, bias) in enumerate(_scaled_layers(net)):
         bias = [b * scale for b in bias]
         scale *= lcm
-        pairs = _map(weights, bias, pieces)
-        if not layer.relu:
+        pairs = _map(weights, bias, pieces, bps)
+        if not net.layers[li].relu:
             pieces = pairs
             continue
-        # interval i runs from ends[i] to ends[i + 1]; q = 0 is -inf or +inf
-        ends = [(-1, 0), *bps, (1, 0)]
-        bps, pieces, actives = [], [], []
-        for (slopes, icepts), lo, hi in zip(pairs, ends, ends[1:]):
-            (pl, ql), (ph, qh) = lo, hi
+        # each unit's a·p + b·q at each end p/q (q = 0: -inf or +inf, where
+        # -a, a or else b gives the sign); interval i + 1's left is i's right
+        left = [-a or b for a, b in zip(*pairs[0])]
+        ends, bps, pieces, actives = [*bps, (1, 0)], [], [], []
+        for (slopes, icepts), hi in zip(pairs, ends):
+            p, q = hi
+            right = [a * p + b * q if q else a or b
+                     for a, b in zip(slopes, icepts)]
             roots: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-            for u, (a, b) in enumerate(zip(slopes, icepts)):
-                # strictly opposite signs at the ends: the root -b/a lies
-                # strictly inside this interval (never when a = 0)
-                if (a * pl + b * ql) * (a * ph + b * qh) < 0:
+            for u, (l, r) in enumerate(zip(left, right)):
+                # strictly opposite end signs: the root -b/a lies strictly
+                # inside, where the unit turns on iff it rises (l < 0)
+                if l < 0 < r or r < 0 < l:
+                    a, b = slopes[u], icepts[u]
                     g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
-                    # its flip there: the unit turns on iff a > 0
                     roots.setdefault((-b // g, a // g), []).append(
                         (u, a, b) if a > 0 else (u, -a, -b))
-            d = math.lcm(*(q for _, q in roots))
-            order = sorted(roots, key=lambda r: r[0] * (d // r[1]))
-            p, q = _midpoint(lo, order[0] if order else hi)
-            active = [a * p + b * q > 0 for a, b in zip(slopes, icepts)]
-            n_active = sum(active)
-            actives.append(n_active)
+            order = list(roots)
+            if len(order) > 1:
+                d = math.lcm(*(q for _, q in order))
+                order.sort(key=lambda r: r[0] * (d // r[1]))
+            # on in the first sub-interval: positive at its left end, or
+            # zero there (no root inside) and positive at the right end
+            active = [l > 0 or l == 0 < r for l, r in zip(left, right)]
             pieces.append(([a if on else 0 for a, on in zip(slopes, active)],
                            [b if on else 0 for b, on in zip(icepts, active)]))
-            for root in order:
-                pieces.append(roots[root])
-                n_active += sum(1 if slopes[u] > 0 else -1
-                                for u, _, _ in roots[root])
-                actives.append(n_active)
+            pieces += (roots[root] for root in order)
             bps += order
             bps.append(hi)
+            left = right
+            if li == 0:
+                actives.append(n_active := sum(active))
+                for root in order:
+                    n_active += sum(1 if slopes[u] > 0 else -1
+                                    for u, _, _ in roots[root])
+                    actives.append(n_active)
         bps.pop()  # +inf
         if li == 0:
             first_layer_hist = tuple(actives.count(j)
@@ -267,7 +283,7 @@ def count_regions_1d(net: ConcreteNet,
         # the identity map turns the flips back into full pairs
         w = net.layers[-1].n_out
         pieces = _map([tuple(int(r == c) for c in range(w)) for r in range(w)],
-                      [0] * w, pieces)
+                      [0] * w, pieces, bps)
     if domain is not None:
         (lp, lq), (hp, hq) = (x.as_integer_ratio() for x in domain)
         pieces = [piece for i, piece in enumerate(pieces)
@@ -304,8 +320,7 @@ def pattern_lower_bound(net: ConcreteNet, samples: int, seed: int, *,
     # layer's pre-activations is the same for all samples
     layers = []
     scale = denom
-    for layer in net.layers:
-        lcm, weights, bias = _scaled(layer)
+    for (lcm, weights, bias), layer in zip(_scaled_layers(net), net.layers):
         layers.append((weights, [b * scale for b in bias], layer.relu))
         scale *= lcm
     patterns = set()

@@ -404,6 +404,27 @@ def pattern_lower_bound_by_fractions(net: oracle.ConcreteNet, samples: int,
     return oracle.RegionCount(len(patterns), "pattern_sample", exact=False)
 
 
+def map_by_full_products(weights, bias, pieces):
+    """Reference for ``oracle._map`` without its continuity step: every full
+    piece (slopes, intercepts) takes both W·slopes and W·intercepts + bias,
+    and every list of flips (u, da, db) adds (da, db)·W[:, u] to its left
+    neighbour's result."""
+    out = []
+    for piece in pieces:
+        if type(piece) is list:
+            slopes, icepts = out[-1]
+            for u, da, db in piece:
+                slopes = [s + row[u] * da for s, row in zip(slopes, weights)]
+                icepts = [c + row[u] * db for c, row in zip(icepts, weights)]
+        else:
+            slopes = [sum(w * a for w, a in zip(row, piece[0]))
+                      for row in weights]
+            icepts = [sum(w * b for w, b in zip(row, piece[1])) + c
+                      for row, c in zip(weights, bias)]
+        out.append((slopes, icepts))
+    return out
+
+
 # -- fuzzing documents -----------------------------------------------------------
 
 json_values = st.recursive(

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import (Histogram, build_gamma1n_witness,
                       count_regions_1d_by_fractions, gamma_entry, json_values,
-                      layer_of, mlp_bound, net_to_json, one_site_broken,
+                      layer_of, map_by_full_products, mlp_bound,
+                      net_to_json, one_site_broken,
                       pattern_lower_bound_by_fractions, random_concrete_net,
                       random_layer, tent_net, widths)
 from regionbound import archspec, engine, oracle
@@ -569,3 +572,168 @@ class TestTentNet:
     def test_matches_reference(self, depth):
         net = tent_net(depth)
         assert count_regions_1d(net) == count_regions_1d_by_fractions(net)
+
+
+def small_integer_net(rng: random.Random) -> ConcreteNet:
+    """1-D net with every weight and bias in {-2..2}: zero rows, flat units
+    and units with coincident roots are common; hidden layers may be
+    linear."""
+    def value():
+        return F(rng.randint(-2, 2))
+
+    layers, d = [], 1
+    for _ in range(rng.randint(1, 4)):
+        width = rng.randint(1, 5)
+        layers.append(Layer(
+            tuple(tuple(value() for _ in range(d)) for _ in range(width)),
+            tuple(value() for _ in range(width)), rng.random() < 0.75))
+        d = width
+    layers.append(Layer((tuple(value() for _ in range(d)),), (value(),),
+                        False))
+    return ConcreteNet(1, tuple(layers))
+
+
+def has_coincident_roots(layer: Layer) -> bool:
+    roots = [-b / w for (w, *_), b in zip(layer.weights, layer.bias) if w]
+    return len(set(roots)) < len(roots)
+
+
+class TestEndSigns:
+    """Units evaluated once per breakpoint: roots on breakpoints, flat units
+    and zero rows, and linear layers between ReLU layers, against the
+    reference."""
+
+    def check(self, net):
+        for domain in FLIP_DOMAINS:
+            assert count_regions_1d(net, domain) == \
+                count_regions_1d_by_fractions(net, domain)
+
+    def test_later_root_on_earlier_breakpoint(self):
+        # h0 - 1 and 1 - h0 vanish at the breakpoint 1 of relu(x - 1), and
+        # 2·h0 - h1 at the breakpoint 0 of relu(x); each is 0 at one end of
+        # an interval and nonzero at the other
+        net = ConcreteNet(1, (
+            layer_of([[1], [1]], [0, -1]),
+            layer_of([[1, 0], [-1, 0], [2, -1]], [-1, 1, 0]),
+            layer_of([[1, -2, 1]], [0], relu=False)))
+        self.check(net)
+        assert count_regions_1d(net).activation_histogram == (1, 1, 1)
+
+    def test_flat_units_on_the_whole_line(self):
+        # every first-layer unit is flat, with intercept 1, -1 and 0, and so
+        # is every second-layer unit: h0 > 0, -h0 < 0 and h1 + h2 = 0
+        net = ConcreteNet(1, (
+            layer_of([[0], [0], [0]], [1, -1, 0]),
+            layer_of([[1, 0, 0], [-1, 0, 0], [0, 1, 1]], [0, 0, 0]),
+            layer_of([[1, 1, 1]], [0], relu=False)))
+        self.check(net)
+        got = count_regions_1d(net)
+        assert (got.count, got.activation_histogram) == (1, (0, 1))
+
+    def test_flat_units_on_both_end_intervals(self):
+        # first layer: relu(x), relu(x - 1) and flat units 1, -1 and 0;
+        # h0 - h1 + c is c left of 0 and c + 1 right of 1, and -h0 + h1 + c
+        # is c and c - 1 there, for c in {1, 0, -1/2, -1}
+        net = ConcreteNet(1, (
+            layer_of([[1], [1], [0], [0], [0]], [0, -1, 1, -1, 0]),
+            layer_of([[1, -1, 0, 0, 0]] * 4 + [[-1, 1, 0, 0, 0]] * 4,
+                     [1, 0, "-1/2", -1] * 2),
+            layer_of([[1, -1, 2, 1, -2, 1, 3, -1]], [0], relu=False)))
+        self.check(net)
+        assert count_regions_1d(net).activation_histogram == (0, 1, 1, 1)
+
+    def test_all_zero_weight_rows(self):
+        # the second layer's zero rows carry biases 1, -1 and 0
+        net = ConcreteNet(1, (
+            layer_of([[1], [-1], [0]], [0, 1, 0]),
+            layer_of([[0, 0, 0], [1, 1, 0], [0, 0, 0], [0, 0, 0]],
+                     [1, "-1/2", -1, 0]),
+            layer_of([[2, 1, 1, 1]], [0], relu=False)))
+        self.check(net)
+        assert count_regions_1d(net).activation_histogram == (0, 2, 1)
+
+    def test_linear_layers_between_relu_layers(self):
+        net = ConcreteNet(1, (
+            layer_of([[1], [-1], [2], [1]], [0, 1, -3, "-1/3"]),
+            layer_of([[1, -1, 1, 2], [2, 1, -1, 0]], ["1/2", -1], relu=False),
+            layer_of([[1, -1], [1, 2]], [0, "1/5"], relu=False),
+            layer_of([[1, 1], [1, -1], [-1, 2]], [0, "-1/2", 1]),
+            layer_of([[1, 2, -1]], [0], relu=False)))
+        self.check(net)
+
+    def test_small_integer_pool(self):
+        rng = random.Random(59)
+        coincident = 0
+        for _ in range(150):
+            net = small_integer_net(rng)
+            coincident += has_coincident_roots(net.layers[0])
+            self.check(net)
+        assert coincident >= 30
+
+
+class TestInheritedIntercepts:
+    """``_map`` at every layer against the full-product reference."""
+
+    def test_map_matches_full_products(self, monkeypatch):
+        real, seen = oracle._map, Counter()
+
+        def checked(weights, bias, pieces, bps):
+            got = real(weights, bias, pieces, bps)
+            want = map_by_full_products(weights, bias, pieces)
+            assert got == want
+            for i in range(1, len(pieces)):
+                if type(pieces[i]) is list:
+                    continue
+                # the later full piece's intercepts follow by an exact
+                # division at the breakpoint it shares with its neighbour
+                p, q = bps[i - 1]
+                (left, _), (slopes, _) = want[i - 1], want[i]
+                assert all((sl - s) * p % q == 0
+                           for sl, s in zip(left, slopes))
+                seen["inherited"] += 1
+                seen["q > 1"] += q > 1
+            seen["calls"] += 1
+            return got
+
+        monkeypatch.setattr(oracle, "_map", checked)
+        rng = random.Random(61)
+        nets = [small_integer_net(rng) for _ in range(60)]
+        nets += [oracle_1d_shaped_net(rng) for _ in range(15)]
+        nets += [tent_net(5), net_from_json(float_tie_net(FLOAT_TIE_BELOW))]
+        for net in nets:
+            assert count_regions_1d(net) == count_regions_1d_by_fractions(net)
+        assert seen["calls"] >= 200
+        assert seen["inherited"] >= 600 and seen["q > 1"] >= 400, seen
+
+
+class TestScaledOncePerNet:
+    """The sweep and the sampler share one conversion of the last net."""
+
+    def test_count_then_sample_scales_each_layer_once(self, monkeypatch):
+        calls = []
+
+        def counting(layer):
+            calls.append(layer)
+            return scaled(layer)
+
+        scaled = oracle._scaled
+        monkeypatch.setattr(oracle, "_scaled", counting)
+        rng = random.Random(67)
+        net, other = (oracle_1d_shaped_net(rng) for _ in range(2))
+        count_regions_1d(net)
+        count_regions_1d(net, (F(-1), F(1)))
+        pattern_lower_bound(net, 20, seed=3)
+        assert calls == list(net.layers)
+        # another net is scaled afresh, and evicts the first
+        assert pattern_lower_bound(other, 20, seed=3) == \
+            pattern_lower_bound_by_fractions(other, 20, seed=3)
+        assert count_regions_1d(net) == count_regions_1d_by_fractions(net)
+        assert calls == list(net.layers + other.layers + net.layers)
+
+    def test_a_deleted_net_is_released(self):
+        net = oracle_1d_shaped_net(random.Random(71))
+        count_regions_1d(net)
+        ref = weakref.ref(net)
+        del net
+        gc.collect()
+        assert ref() is None
