@@ -84,14 +84,12 @@ class ResolvedStage:
 
 # -- parsing -------------------------------------------------------------------
 
+# a block's JSON kind and fields are its class name, lower case, and its
+# dataclass fields, as ``render`` writes them
 _BLOCK_FIELDS = {
-    "dense": {"out": int, "relu": bool},
-    "conv": {"out_channels": int, "kernel": int, "stride": int,
-             "padding": int, "relu": bool},
-    "avgpool": {"factor": int},
-    "unpool": {"factor": int},
-    "maxpool": {"window": int},
-}
+    cls.__name__.lower(): {f.name: bool if f.type in ("bool", bool) else int
+                           for f in fields(cls)}
+    for cls in (Dense, Conv, AvgPool, Unpool, MaxPool)}
 
 
 def _require_fields(kind: str, params, path: str) -> dict:
@@ -382,16 +380,10 @@ _BUILTINS = {
 }
 
 
-def builtin(name: str, *args: int) -> NetworkSpec:
-    """Look up a named builtin; "mlp" takes (n0, ni, k)."""
-    if name == "mlp":
-        if len(args) != 3:
-            raise ArchSpecError("mlp builtin needs (n0, ni, k)")
-        return mlp(*args)
+def builtin(name: str) -> NetworkSpec:
+    """Look up a named builtin."""
     try:
         factory = _BUILTINS[name]
     except KeyError:
         raise ArchSpecError(f"unknown builtin '{name}'") from None
-    if args:
-        raise ArchSpecError(f"builtin '{name}' takes no arguments")
     return factory()

@@ -1,10 +1,12 @@
 """Command-line surface.
 
-Exit codes: 0 success (also when the reader closes stdout early), 1
-user/input error, 2 resource cap exceeded.
+The library returns exact integers and fractions; every text format of
+them lives here.  Exit codes: 0 success (also when the reader closes
+stdout early), 1 user/input error, 2 resource cap exceeded.
 """
 from __future__ import annotations
 
+import decimal
 import functools
 import os
 import sys
@@ -18,6 +20,66 @@ import click
 from . import archspec, engine, oracle, transfer
 from .gamma import (DEFAULT_COLUMN_CAP, ColumnCapExceeded, GammaProvider,
                     GammaVariant)
+
+
+def scientific(n: int, digits: int = 4) -> str:
+    """Render an exact integer as "m.mmm x 10^e" with the given mantissa digits."""
+    if digits < 1:
+        raise ValueError("need at least one mantissa digit")
+    if n < 0:
+        raise ValueError("bounds are non-negative")
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        d = +decimal.Decimal(n)
+    return _mantissa(d, digits)
+
+
+def exact(n: int) -> str:
+    """All decimal digits of an integer.  Unlike ``str``, this has no
+    4,300-digit limit, which the parsers keep for their input."""
+    return str(decimal.Decimal(n))
+
+
+def format_ratio(ratio: Fraction, digits: int = 4) -> str:
+    """Decimal rendering of an exact rational, scientific when large."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = max(digits, 1)
+        d = decimal.Decimal(ratio.numerator) / decimal.Decimal(ratio.denominator)
+    exp = d.adjusted()
+    if 0 <= exp < digits + 3:
+        if exp + 1 > max(digits, 1):  # more integer digits than precision
+            with decimal.localcontext() as ctx:
+                ctx.prec = exp + 1
+                d = decimal.Decimal(ratio.numerator) / decimal.Decimal(
+                    ratio.denominator)
+        return str(d)
+    return _mantissa(d, digits)
+
+
+def _mantissa(d: decimal.Decimal, digits: int) -> str:
+    """A Decimal already rounded to ``digits`` digits as "m.mmm×10^e"."""
+    ds = "".join(str(x) for x in d.as_tuple().digits).ljust(digits, "0")
+    exp = d.adjusted()
+    if digits == 1:
+        return f"{ds}×10^{exp}"
+    return f"{ds[0]}.{ds[1:]}×10^{exp}"
+
+
+SWEEP_HEADER = "n0,ni,k,bound_ours,bound_serra,ratio"
+
+
+def sweep_csv(rows: Iterable[tuple[int, int, int, int, int]],
+              digits: int = 4) -> Iterator[str]:
+    """The CSV lines of ``engine.sweep`` rows, each made when it is read,
+    with the ratio serra/ours.  The header comes with the first row, so an
+    error in making that row comes before any text."""
+    head = SWEEP_HEADER + "\n"
+    for n0, ni, k, bo, bs in rows:
+        ratio = format_ratio(Fraction(bs, bo), digits)
+        yield f"{head}{n0},{ni},{k},{exact(bo)},{exact(bs)},{ratio}\n"
+        head = ""
+    if head:
+        yield head
 
 
 @dataclass
@@ -119,7 +181,8 @@ def cmd_gamma(cfg: CliConfig, variant, nprime, output):
 def cmd_bmatrix(cfg: CliConfig, variant, nprime, output):
     """Dump the ReLU-layer B matrix for n' hyperplanes (appendix row layout)."""
     _emit(_per_variant(cfg, variant, "B", f"[{nprime}]",
-                       lambda p: transfer.b_matrix(p, nprime).render()),
+                       lambda p: (" ".join(map(str, row)) + "\n" for row in
+                                  transfer.b_matrix(p, nprime).dense_rows())),
           output)
 
 
@@ -140,10 +203,10 @@ def cmd_bound(cfg: CliConfig, arch_file, variant, output):
     """Exact region bound for an architecture file."""
     spec, stages = _load_arch(arch_file)
     provider = GammaProvider(variant, cap=cfg.gamma_cap)
-    report = engine.evaluate(stages, variant, spec.input_nodes,
-                             provider=provider, halved_c=cfg.halved_c,
-                             digits=cfg.mantissa_digits)
-    _emit(f"{engine.exact(report.bound)}\n{report.scientific}\n", output)
+    bound = engine.evaluate(stages, variant, spec.input_nodes,
+                            provider=provider, halved_c=cfg.halved_c).bound
+    _emit(f"{exact(bound)}\n{scientific(bound, cfg.mantissa_digits)}\n",
+          output)
 
 
 @main.command("compare")
@@ -156,11 +219,11 @@ def cmd_compare(cfg: CliConfig, arch_file, output):
     spec, stages = _load_arch(arch_file)
     ours, serra, ratio = engine.compare(stages, spec.input_nodes,
                                         gamma_cap=cfg.gamma_cap,
-                                        halved_c=cfg.halved_c,
-                                        digits=cfg.mantissa_digits)
-    _emit(f"ours={engine.exact(ours.bound)} ({ours.scientific})\n"
-          f"serra={engine.exact(serra.bound)} ({serra.scientific})\n"
-          f"ratio={ratio}\n", output)
+                                        halved_c=cfg.halved_c)
+    digits = cfg.mantissa_digits
+    _emit(f"ours={exact(ours.bound)} ({scientific(ours.bound, digits)})\n"
+          f"serra={exact(serra.bound)} ({scientific(serra.bound, digits)})\n"
+          f"ratio={format_ratio(ratio, digits)}\n", output)
 
 
 class _Ints:
@@ -202,8 +265,8 @@ def _parse_int_list(text: str) -> _Ints:
 def cmd_sweep(cfg: CliConfig, n0, widths, depths, output):
     """CSV grid of both bounds over MLP widths and depths, row by row."""
     rows = engine.sweep(n0, _parse_int_list(widths), _parse_int_list(depths),
-                        gamma_cap=cfg.gamma_cap, digits=cfg.mantissa_digits)
-    _emit(engine.sweep_csv(rows), output)
+                        gamma_cap=cfg.gamma_cap)
+    _emit(sweep_csv(rows, cfg.mantissa_digits), output)
 
 
 @main.command("oracle")
@@ -230,7 +293,7 @@ def cmd_oracle(cfg: CliConfig, net_file, method, samples, seed, output):
     bound = engine.evaluate(stages, GammaVariant.OURS, net.n0,
                             provider=provider).bound
     verdict = "OK" if result.count <= bound else "VIOLATION"
-    _emit(f"count={engine.exact(result.count)} bound={engine.exact(bound)} "
+    _emit(f"count={exact(result.count)} bound={exact(bound)} "
           f"{verdict}\n", output)
     if verdict != "OK":
         sys.exit(1)
@@ -255,19 +318,17 @@ def cmd_demo(cfg: CliConfig, name, output):
     plain = archspec.strip_wrappers(spec)
     label_with, label_without = _DEMO_PAIRS[name]
     provider = GammaProvider(GammaVariant.OURS, cap=cfg.gamma_cap)
+    digits = cfg.mantissa_digits
     lines = []
     bounds = []
     for label, s in ((label_with, spec), (label_without, plain)):
         stages = archspec.resolve(s)
-        report = engine.evaluate(stages, GammaVariant.OURS, s.input_nodes,
-                                 provider=provider, halved_c=cfg.halved_c,
-                                 digits=cfg.mantissa_digits)
-        bounds.append(report.bound)
-        lines.append(
-            f"{label}: {engine.exact(report.bound)} ({report.scientific})")
-    ratio = engine.format_ratio(Fraction(bounds[0], bounds[1]),
-                                cfg.mantissa_digits)
-    lines.append(f"ratio={ratio}")
+        bound = engine.evaluate(stages, GammaVariant.OURS, s.input_nodes,
+                                provider=provider,
+                                halved_c=cfg.halved_c).bound
+        bounds.append(bound)
+        lines.append(f"{label}: {exact(bound)} ({scientific(bound, digits)})")
+    lines.append(f"ratio={format_ratio(Fraction(*bounds), digits)}")
     _emit("\n".join(lines) + "\n", output)
 
 

@@ -43,14 +43,14 @@ vector reads the leading (min(d_eff, n_out) + 1)-block of B.  A ReLU
 stage checks that block's order against the provider's cap when its
 map is built and fetches the block only for such a product.  The gamma
 provider keeps one block per width, so a provider passed to repeated
-``evaluate`` calls shares them.  All arithmetic is exact.
+``evaluate`` calls shares them.  All arithmetic is exact, and so are
+the results: integer bounds and the ``Fraction`` serra/ours, which only
+``regionbound.cli`` renders as text.
 """
 from __future__ import annotations
 
-import decimal
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import tee
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -63,59 +63,9 @@ from .gamma import (DEFAULT_COLUMN_CAP, GammaProvider, GammaVariant,
 
 @dataclass(frozen=True)
 class BoundReport:
-    """An exact bound and its variant.  ``scientific``, the rendered
-    bound, is computed on first access."""
+    """An exact bound on the number of linear regions."""
 
     bound: int
-    variant: GammaVariant
-    _digits: int = field(default=4, repr=False)
-
-    @cached_property
-    def scientific(self) -> str:
-        return scientific(self.bound, self._digits)
-
-
-def scientific(n: int, digits: int = 4) -> str:
-    """Render an exact integer as "m.mmm x 10^e" with the given mantissa digits."""
-    if digits < 1:
-        raise ValueError("need at least one mantissa digit")
-    if n < 0:
-        raise ValueError("bounds are non-negative")
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        d = +decimal.Decimal(n)
-    return _mantissa(d, digits)
-
-
-def exact(n: int) -> str:
-    """All decimal digits of an integer.  Unlike ``str``, this has no
-    4,300-digit limit, which the parsers keep for their input."""
-    return str(decimal.Decimal(n))
-
-
-def format_ratio(ratio: Fraction, digits: int = 4) -> str:
-    """Decimal rendering of an exact rational, scientific when large."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = max(digits, 1)
-        d = decimal.Decimal(ratio.numerator) / decimal.Decimal(ratio.denominator)
-    exp = d.adjusted()
-    if 0 <= exp < digits + 3:
-        if exp + 1 > max(digits, 1):  # more integer digits than precision
-            with decimal.localcontext() as ctx:
-                ctx.prec = exp + 1
-                d = decimal.Decimal(ratio.numerator) / decimal.Decimal(
-                    ratio.denominator)
-        return str(d)
-    return _mantissa(d, digits)
-
-
-def _mantissa(d: decimal.Decimal, digits: int) -> str:
-    """A Decimal already rounded to ``digits`` digits as "m.mmm×10^e"."""
-    ds = "".join(str(x) for x in d.as_tuple().digits).ljust(digits, "0")
-    exp = d.adjusted()
-    if digits == 1:
-        return f"{ds}×10^{exp}"
-    return f"{ds[0]}.{ds[1:]}×10^{exp}"
 
 
 class _Clip:
@@ -252,7 +202,7 @@ def _transposed(ops: Sequence[_Op],
 
 def evaluate(stages: Sequence[ResolvedStage], variant: GammaVariant | str,
              n0: int, *, provider: GammaProvider | None = None,
-             halved_c: bool = False, digits: int = 4) -> BoundReport:
+             halved_c: bool = False) -> BoundReport:
     """Exact upper bound on the number of linear regions of the network.
 
     ``provider`` supplies the blocks of B, under its own cap on their
@@ -281,35 +231,33 @@ def evaluate(stages: Sequence[ResolvedStage], variant: GammaVariant | str,
                 w = _transposed(rest)
                 c *= op.norm(j) if w is None else sum(map(mul, w,
                                                           op.column(j)))
-                return BoundReport(c, variant, digits)
-    return BoundReport(c, variant, digits)
+                return BoundReport(c)
+    return BoundReport(c)
 
 
 def compare(stages: Sequence[ResolvedStage], n0: int, *,
-            gamma_cap: int = DEFAULT_COLUMN_CAP, halved_c: bool = False,
-            digits: int = 4) -> tuple[BoundReport, BoundReport, str]:
+            gamma_cap: int = DEFAULT_COLUMN_CAP, halved_c: bool = False
+            ) -> tuple[BoundReport, BoundReport, Fraction]:
     """Bounds for both variants plus the exact serra/ours ratio."""
     ours, serra = (evaluate(stages, v, n0,
                             provider=GammaProvider(v, cap=gamma_cap),
-                            halved_c=halved_c, digits=digits)
+                            halved_c=halved_c)
                    for v in (GammaVariant.OURS, GammaVariant.SERRA))
-    ratio = Fraction(serra.bound, ours.bound)
-    return ours, serra, format_ratio(ratio, digits)
+    return ours, serra, Fraction(serra.bound, ours.bound)
 
 
 def sweep(n0: int, widths: Iterable[int], depths: Iterable[int], *,
-          gamma_cap: int = DEFAULT_COLUMN_CAP,
-          digits: int = 4) -> Iterator[tuple[int, int, int, int, int, str]]:
-    """Rows (n0, ni, k, bound_ours, bound_serra, ratio), width-major then
-    depth, each made when it is read; ``depths`` is iterated once per
-    width."""
+          gamma_cap: int = DEFAULT_COLUMN_CAP
+          ) -> Iterator[tuple[int, int, int, int, int]]:
+    """Rows (n0, ni, k, bound_ours, bound_serra), width-major then depth,
+    each made when it is read; ``depths`` is iterated once per width."""
     ours = GammaProvider(GammaVariant.OURS, cap=gamma_cap)
     serra = GammaProvider(GammaVariant.SERRA, cap=gamma_cap)
     for ni in widths:
         ks, ko, kse = tee(depths, 3)
         for k, bo, bs in zip(ks, _mlp_bounds(n0, ni, ko, ours),
                              _mlp_bounds(n0, ni, kse, serra)):
-            yield n0, ni, k, bo, bs, format_ratio(Fraction(bs, bo), digits)
+            yield n0, ni, k, bo, bs
 
 
 def _mlp_bounds(n0: int, ni: int, depths: Iterable[int],
@@ -334,18 +282,3 @@ def _mlp_bounds(n0: int, ni: int, depths: Iterable[int],
         while depth < k:
             depth, w = depth + 1, _transposed(step, w)
         yield norm if w is None else sum(map(mul, w, column))
-
-
-SWEEP_HEADER = "n0,ni,k,bound_ours,bound_serra,ratio"
-
-
-def sweep_csv(rows: Iterable[tuple]) -> Iterator[str]:
-    """The CSV lines of ``sweep`` rows, each made when it is read.  The
-    header comes with the first row, so an error in making that row
-    comes before any text."""
-    head = SWEEP_HEADER + "\n"
-    for n0, ni, k, bo, bs, ratio in rows:
-        yield f"{head}{n0},{ni},{k},{exact(bo)},{exact(bs)},{ratio}\n"
-        head = ""
-    if head:
-        yield head

@@ -299,8 +299,11 @@ def count_regions_1d(net: ConcreteNet,
 
 # -- sampling lower bound ---------------------------------------------------------
 
-def pattern_lower_bound(net: ConcreteNet, samples: int, seed: int, *,
-                        box: tuple[int, int] = (-10, 10)) -> RegionCount:
+_BOX = (-10, 10)  # each input coordinate is drawn from this interval
+
+
+def pattern_lower_bound(net: ConcreteNet, samples: int,
+                        seed: int) -> RegionCount:
     """Number of distinct activation patterns on seeded pseudo-random inputs.
 
     A lower bound on the number of activation regions, the sets of inputs
@@ -314,13 +317,17 @@ def pattern_lower_bound(net: ConcreteNet, samples: int, seed: int, *,
     if samples < 1:
         raise OracleError("need at least one sample")
     rng = random.Random(seed)
-    lo, hi = box
+    lo, hi = _BOX
     denom = 10 ** 6
     # every sample is drawn as integers over denom; the scale of each
-    # layer's pre-activations is the same for all samples
+    # layer's pre-activations is the same for all samples.  Layers after
+    # the last ReLU layer add nothing to a pattern and are not evaluated.
+    depth = max((i + 1 for i, layer in enumerate(net.layers) if layer.relu),
+                default=0)
     layers = []
     scale = denom
-    for (lcm, weights, bias), layer in zip(_scaled_layers(net), net.layers):
+    for (lcm, weights, bias), layer in zip(_scaled_layers(net)[:depth],
+                                           net.layers):
         layers.append((weights, [b * scale for b in bias], layer.relu))
         scale *= lcm
     patterns = set()

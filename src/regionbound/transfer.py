@@ -53,7 +53,8 @@ product: column j, rows 0..j, is its diagonal entry, C(n', i) on the
 binomial suffix rows n'+shift-j <= i < j, and band column j; and the
 sums of columns 0..k are the prefix sums of the binomial row,
 gamma_norm(j, n'), by the definition of the diagonal.  All entries are
-exact non-negative integers.
+exact non-negative integers; ``BMatrix.dense_rows`` lists them row by
+row, and ``regionbound.cli`` writes them as text.
 """
 from __future__ import annotations
 
@@ -116,7 +117,7 @@ class BMatrix:
         self._fits(k + 1)
         return list(accumulate(self.binom[:k + 1]))
 
-    def _dense_rows(self) -> Iterator[list[int]]:
+    def dense_rows(self) -> Iterator[list[int]]:
         """Rows 0..m-1, each made as it is read.  Row i meets band column
         j exactly for n'-2i <= j <= n'-i and j > i: the rows
         (n'-j)/2 <= i <= min(n'-j, j-1) of column j."""
@@ -130,11 +131,6 @@ class BMatrix:
                 _, lo, g = self.band[j - first]
                 row[j] = g[i - lo]
             yield row
-
-    def render(self) -> Iterator[str]:
-        """Lines of space-separated decimals (appendix matrix layout), one
-        per row, each made as it is read."""
-        return (" ".join(map(str, row)) + "\n" for row in self._dense_rows())
 
     def transposed(self, w: list[int]) -> list[int]:
         """Exact product B^T w, with len(w) entries: entry j reads only

@@ -381,11 +381,10 @@ def count_regions_1d_by_fractions(net: oracle.ConcreteNet, domain=None
 
 
 def pattern_lower_bound_by_fractions(net: oracle.ConcreteNet, samples: int,
-                                     seed: int, box=(-10, 10)
-                                     ) -> oracle.RegionCount:
-    """Reference for oracle.pattern_lower_bound."""
+                                     seed: int) -> oracle.RegionCount:
+    """Reference for oracle.pattern_lower_bound, every layer evaluated."""
     rng = random.Random(seed)
-    lo, hi = box
+    lo, hi = -10, 10
     denom = 10 ** 6
     patterns = set()
     for _ in range(samples):
@@ -516,7 +515,7 @@ def ref_b_matrix(provider, nprime):
 
 def b_columns(b) -> tuple[Histogram, ...]:
     """Columns of a ``transfer.BMatrix``; column j is clip(gamma(j, n'), j)."""
-    return tuple(Histogram(col) for col in zip(*b._dense_rows()))
+    return tuple(Histogram(col) for col in zip(*b.dense_rows()))
 
 
 def ref_diag(values):

@@ -164,7 +164,7 @@ def test_criterion_6_skip_residual_dominance():
 def test_criterion_7_sweep_ratios():
     rows = list(engine.sweep(10, [6, 8, 10, 15, 20, 25], range(1, 11)))
     assert len(rows) == 60
-    for _, _, _, bo, bs, _ in rows:
+    for _, _, _, bo, bs in rows:
         assert Fraction(bs, bo) >= 1
     # deep grid: the gap between variants widens monotonically with depth
     ratios = []

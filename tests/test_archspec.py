@@ -182,7 +182,7 @@ class TestResolve:
 
 class TestBuiltins:
     def test_mlp_family(self):
-        spec = archspec.builtin("mlp", 10, 10, 10)
+        spec = archspec.mlp(10, 10, 10)
         stages = archspec.resolve(spec)
         assert len(stages) == 11
         assert all(s.n_out == 10 for s in stages[:-1])

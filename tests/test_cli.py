@@ -15,7 +15,7 @@ from conftest import (build_gamma1n_witness, gamma_entry, net_to_json,
                       parse_histogram)
 import regionbound
 from regionbound import archspec, engine, transfer
-from regionbound.cli import _parse_int_list, main
+from regionbound.cli import _parse_int_list, main, sweep_csv
 from regionbound.gamma import GammaProvider
 
 
@@ -106,7 +106,8 @@ class TestBMatrix:
     def test_matches_library(self, runner):
         res = runner.invoke(main, ["bmatrix", "--variant", "ours",
                                    "--nprime", "4"])
-        want = "".join(transfer.b_matrix(GammaProvider("ours"), 4).render())
+        want = "".join(" ".join(map(str, row)) + "\n" for row in
+                       transfer.b_matrix(GammaProvider("ours"), 4).dense_rows())
         assert res.output == want
 
     def test_cap_exceeded_exits_two(self, runner):
@@ -289,7 +290,7 @@ class TestSweep:
             assert list(islice(depths, 3)) == [1, 2, 3]
 
     def test_rows_are_made_as_they_are_read(self, runner):
-        lines = engine.sweep_csv(engine.sweep(
+        lines = sweep_csv(engine.sweep(
             2, _parse_int_list("8"), _parse_int_list("1..999999999")))
         res = runner.invoke(main, ["sweep", "--n0", "2", "--widths", "8",
                                    "--depths", "1..3"])
@@ -431,3 +432,26 @@ class TestGlobalOptions:
         res = runner.invoke(main, ["--mantissa-digits", "2", "bound",
                                    mlp_file(tmp_path, 3, [5])])
         assert res.output == "26\n2.6×10^1\n"
+
+    def test_mantissa_digits_compare_and_demo(self, runner, tmp_path):
+        # the text of the commit before the formatters moved to the CLI
+        path = mlp_file(tmp_path, 10, [6] * 3)
+        unet = ("unet_small: 2304314079928673780299400500130828619464199349"
+                "97381599919217332784785728613446074721274978797816406812"
+                "482935458847108223")
+        ae = ("ae_small: 504832508666984214312043142865693164286864199626"
+              "2953858456508311455708800884888120654592538407625")
+        expected = {
+            "1": ("ours=94928 (9×10^4)\nserra=96753 (1×10^5)\nratio=1\n",
+                  f"{unet} (2×10^119)\n{ae} (5×10^96)\nratio=5×10^22\n"),
+            "7": ("ours=94928 (9.492800×10^4)\n"
+                  "serra=96753 (9.675300×10^4)\nratio=1.019225\n",
+                  f"{unet} (2.304314×10^119)\n{ae} (5.048325×10^96)\n"
+                  "ratio=4.564512×10^22\n")}
+        for digits, (compare, demo) in expected.items():
+            res = runner.invoke(main, ["--mantissa-digits", digits,
+                                       "compare", path])
+            assert (res.exit_code, res.output) == (0, compare)
+            res = runner.invoke(main, ["--mantissa-digits", digits,
+                                       "demo", "unet_small"])
+            assert (res.exit_code, res.output) == (0, demo)

@@ -44,8 +44,8 @@ def rand_hist(rng, max_len=8, max_entry=20):
 
 
 def rendered_rows(b):
-    return [tuple(int(x) for x in line.split())
-            for line in b.render()]
+    """The rows of B that ``regionbound bmatrix`` writes, as tuples."""
+    return [tuple(row) for row in b.dense_rows()]
 
 
 def stage_map(stage, d, halved_c=False):
@@ -197,7 +197,7 @@ class TestBMatrix:
             for m in range(1, nprime + 2):
                 b = transfer.b_matrix(GammaProvider(variant), nprime, m)
                 assert b.nprime == nprime
-                assert list(b._dense_rows()) == \
+                assert list(b.dense_rows()) == \
                     [row[:m] for row in dense_b[:m]], \
                     (nprime, m)
 
@@ -212,7 +212,7 @@ class TestBMatrix:
             for e in range(min(nprime, nprime // 2 + 2) + 1):
                 b = transfer.b_matrix(GammaProvider(variant), nprime, e + 1)
                 norms = gamma.gamma_norms(e, nprime)
-                diagonal = list(b._dense_rows()) == [
+                diagonal = list(b.dense_rows()) == [
                     [x if i == j else 0 for j in range(e + 1)]
                     for i, x in enumerate(norms)]
                 assert diagonal == scaling(e, nprime), (nprime, e)
