@@ -28,8 +28,7 @@ def scientific(n: int, digits: int = 4) -> str:
         raise ValueError("need at least one mantissa digit")
     if n < 0:
         raise ValueError("bounds are non-negative")
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
+    with _context(digits):
         d = +decimal.Decimal(n)
     return _mantissa(d, digits)
 
@@ -42,18 +41,23 @@ def exact(n: int) -> str:
 
 def format_ratio(ratio: Fraction, digits: int = 4) -> str:
     """Decimal rendering of an exact rational, scientific when large."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = max(digits, 1)
+    with _context(digits):
         d = decimal.Decimal(ratio.numerator) / decimal.Decimal(ratio.denominator)
     exp = d.adjusted()
     if 0 <= exp < digits + 3:
-        if exp + 1 > max(digits, 1):  # more integer digits than precision
-            with decimal.localcontext() as ctx:
-                ctx.prec = exp + 1
+        if exp + 1 > digits:  # more integer digits than precision
+            with _context(exp + 1):
                 d = decimal.Decimal(ratio.numerator) / decimal.Decimal(
                     ratio.denominator)
         return str(d)
     return _mantissa(d, digits)
+
+
+def _context(prec: int):
+    """A local decimal context of ``prec`` digits, whatever the caller's,
+    whose exponent range holds a bound of a million digits or more."""
+    return decimal.localcontext(decimal.Context(
+        prec=prec, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN))
 
 
 def _mantissa(d: decimal.Decimal, digits: int) -> str:

@@ -36,7 +36,9 @@ rest is mapped and the bound is c*<column j, w>, w being its transposed
 pass, or c*gamma_norm(j, n_out) while that is all ones; if no B stops
 the walk, the bound is c.  No histogram is built.  A skip body stays
 one eager pass, since the benchmark pins the blocks of B it fetches
-(ROADMAP item 1).  Column j, the column sums and a norm come from the
+(ROADMAP item 1).  Every partial sum gamma_norm(j, n') that a stage
+reads, one norm, the column sums or a max-pooling factor, comes from a
+``gamma.Norms`` made where it is read.  It and column j come from the
 gamma provider's block of B for n_out when that covers the index, else
 from binomials in O(j) steps, building no block.  B^T of any other
 vector reads the leading (min(d_eff, n_out) + 1)-block of B.  A ReLU
@@ -57,8 +59,8 @@ from typing import Iterable, Iterator, Sequence
 
 from . import transfer
 from .archspec import ResolvedStage, mlp, resolve
-from .gamma import (DEFAULT_COLUMN_CAP, GammaProvider, GammaVariant,
-                    diagonal_column, gamma_norm, gamma_norms)
+from .gamma import (DEFAULT_COLUMN_CAP, GammaProvider, GammaVariant, Norms,
+                    diagonal_column)
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,7 @@ class _Scale:
 
     __slots__ = ("factors",)
 
-    def __init__(self, factors: list[int] | _Norms):
+    def __init__(self, factors: list[int] | Norms):
         self.factors = factors
 
     def transposed(self, w: list[int] | None) -> list[int]:
@@ -98,23 +100,10 @@ class _Scale:
         return [x * f for x, f in zip(w, self.factors)]
 
 
-class _Norms:
-    """gamma_norm(n, c), n = 0..e: one made when indexed, all when iterated."""
-
-    def __init__(self, e: int, c: int):
-        self.e, self.c = e, c
-
-    def __getitem__(self, n: int) -> int:
-        return gamma_norm(n, self.c)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(gamma_norms(self.e, self.c))
-
-
 class _ReLU:
     """B for n' hyperplanes on histograms with mass at indices up to k.
-    Column j and the column sums come from the provider; the block is
-    fetched only for a real product (see above)."""
+    Column j comes from the provider and the column sums from ``Norms``;
+    the block is fetched only for a real product (see above)."""
 
     __slots__ = ("provider", "nprime", "k")
 
@@ -128,16 +117,12 @@ class _ReLU:
         return diagonal_column(self.nprime,
                                self.provider.variant is GammaVariant.OURS, j)
 
-    def norm(self, j: int) -> int:
-        """gamma_norm(j, n'), the sum of column j."""
-        return self.provider.norm(self.nprime, j)
-
     def column(self, j: int) -> list[int]:
         return self.provider.b_column(self.nprime, j)
 
     def transposed(self, w: list[int] | None) -> list[int]:
         if w is None:  # all ones: the column sums
-            return self.provider.column_sums(self.nprime, self.k)
+            return list(Norms(self.nprime, self.k, self.provider))
         return transfer.b_matrix(self.provider, self.nprime,
                                  self.k + 1).transposed(w)
 
@@ -168,7 +153,7 @@ def _stage_map(stage: ResolvedStage, e: int, provider: GammaProvider,
         c = (stage.k * stage.k - stage.k) * n_out
         if halved_c:
             c //= 2
-        return [_Scale(_Norms(e, c)), _Clip(n_out, e)], min(e, n_out)
+        return [_Scale(Norms(c, e)), _Clip(n_out, e)], min(e, n_out)
     if stage.kind in ("skip", "residual"):
         # entry j is the number of regions the body carves out of one
         # j-dimensional region; concatenating or adding the input back
@@ -223,14 +208,14 @@ def evaluate(stages: Sequence[ResolvedStage], variant: GammaVariant | str,
                 c *= op.factors[j]
             elif op.diagonal(j):
                 if last is None or last[:2] != (op.nprime, j):
-                    last = op.nprime, j, op.norm(j)
+                    last = op.nprime, j, Norms(op.nprime, j, provider)[j]
                 c *= last[2]
             else:  # c times column j, met by the transposed pass of the
                 # stages after this one (B ends its stage's map)
                 rest, _ = _stage_maps(stages[i + 1:], e, provider, halved_c)
                 w = _transposed(rest)
-                c *= op.norm(j) if w is None else sum(map(mul, w,
-                                                          op.column(j)))
+                c *= (Norms(op.nprime, j, provider)[j] if w is None
+                      else sum(map(mul, w, op.column(j))))
                 return BoundReport(c)
     return BoundReport(c)
 
@@ -276,7 +261,7 @@ def _mlp_bounds(n0: int, ni: int, depths: Iterable[int],
             _, relu, *step, end = _stage_maps(resolve(mlp(n0, ni, 2)), n0,
                                               provider, False)[0]
             e, depth = relu.k, k + 1
-            norm, column = relu.norm(e), relu.column(e)
+            norm, column = Norms(relu.nprime, e, provider)[e], relu.column(e)
         if k < depth:
             depth, w = 1, end.transposed(None)
         while depth < k:

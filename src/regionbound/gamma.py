@@ -39,12 +39,13 @@ entries of gamma(j, nprime) as ``_ours_lower`` steps them (see
 min(d_eff, nprime).  The provider builds a block of order m-1 from
 those binomials directly, in O(m) big-int steps for "serra" and at
 most O(m^2) for "ours", without a column, and keeps one block per
-nprime.  The engine also reads the two ends of B, column j
-(``b_column``) and the column sums (``gamma_norms``), and one column
-sum (``gamma_norm``, a running sum with no list); the provider reads
-them from its block when that covers the index and otherwise steps
-them from binomials in O(j), never building a block for them.
-Column j is gamma_norm(j, nprime) times unit(j) when
+nprime.  The engine also reads column j of B (``b_column``) and the
+partial sums gamma_norm(j, nprime) = sum_{s<=j} C(nprime, s), which are
+B's column sums and the max-pooling factors.  One ``Norms`` object
+gives them: one entry, a running sum with no list, or the prefix list.
+Both ends are read from the provider's block when that covers the index
+and are otherwise stepped from binomials in O(j), never building a
+block for them.  Column j is gamma_norm(j, nprime) times unit(j) when
 ``diagonal_column`` holds.
 """
 from __future__ import annotations
@@ -90,11 +91,6 @@ def _binomials(n: int, nprime: int) -> Iterator[int]:
     for s in range(n):
         term = term * (nprime - s) // (s + 1)
         yield term
-
-
-def gamma_norms(nmax: int, nprime: int) -> list[int]:
-    """[gamma_norm(n, nprime) for n = 0..nmax]."""
-    return list(accumulate(_binomials(nmax, nprime)))
 
 
 def gamma_norm(n: int, nprime: int) -> int:
@@ -164,7 +160,7 @@ def _b_matrix(nprime: int, ours: bool, m: int) -> BMatrix:
     binomials with no gamma column.
 
     It needs the first m binomials and their prefix sums
-    ``gamma_norms(m-1, nprime)``, and for "ours" the band columns
+    gamma_norm(j, nprime), j < m, and for "ours" the band columns
     (nprime+2)/3 <= j < m: the entries from row (nprime-j)/2 on that
     ``_ours_lower`` steps for gamma(j, nprime).
     """
@@ -208,9 +204,10 @@ class GammaProvider:
     blocks of B, which are built from binomials, with no gamma column, under
     the provider's lock and cap.  A block is rebuilt, larger, only when
     a larger one is asked for; a smaller one is served from it.  Column
-    j of B and its column sums are read from the block held for nprime
-    when it covers the index, and are otherwise built from binomials;
-    the provider keeps neither and builds no block for them.
+    j of B, and through ``Norms`` its column sums, are read from the
+    block held for nprime when it covers the index, and are otherwise
+    built from binomials; the provider keeps neither and builds no block
+    for them.
     """
 
     def __init__(self, variant: GammaVariant | str = GammaVariant.OURS,
@@ -237,30 +234,19 @@ class GammaProvider:
         self.check(nprime, nprime)
         return _column_rows(nprime, self.variant is GammaVariant.OURS)
 
+    def _cached(self, nprime: int, j: int) -> BMatrix | None:
+        """The cached block for nprime if it covers index j; builds none."""
+        b = self._b_matrices.get(nprime)
+        return b if b is not None and b.rows > j else None
+
     def b_column(self, nprime: int, j: int) -> list[int]:
         """Column j of B for nprime, rows 0..j: read from the cached block
         when it covers j, else built from binomials (``b_column``).  No
         block is built."""
-        b = self._b_matrices.get(nprime)
-        if b is not None and b.rows > j:
+        b = self._cached(nprime, j)
+        if b is not None:
             return b.column(j)
         return b_column(nprime, self.variant is GammaVariant.OURS, j)
-
-    def norm(self, nprime: int, j: int) -> int:
-        """gamma_norm(j, nprime), read as ``column_sums`` reads it."""
-        b = self._b_matrices.get(nprime)
-        if b is not None and b.rows > j:
-            return sum(b.binom[:j + 1])
-        return gamma_norm(j, nprime)
-
-    def column_sums(self, nprime: int, k: int) -> list[int]:
-        """Sums of columns 0..k of B for nprime, ``gamma_norms(k,
-        nprime)``: read from the cached block when it covers k, else
-        built from binomials.  No block is built."""
-        b = self._b_matrices.get(nprime)
-        if b is not None and b.rows > k:
-            return b.column_sums(k)
-        return gamma_norms(k, nprime)
 
     def b_matrix(self, nprime: int, m: int) -> BMatrix:
         """A cached leading block of the ReLU-layer B matrix for nprime
@@ -277,3 +263,27 @@ class GammaProvider:
                 b = self._b_matrices[nprime] = _b_matrix(
                     nprime, self.variant is GammaVariant.OURS, m)
         return b
+
+
+class Norms:
+    """gamma_norm(j, nprime) for j = 0..e: the column sums of B and the
+    max-pooling factors.  Indexing streams one entry with no list, and
+    iterating yields the prefix list.  Both sum the binomial row of
+    ``provider``'s cached block of B for nprime when that covers the
+    index, and otherwise step the binomials; no block is built."""
+
+    __slots__ = ("nprime", "e", "provider")
+
+    def __init__(self, nprime: int, e: int,
+                 provider: GammaProvider | None = None):
+        self.nprime, self.e, self.provider = nprime, e, provider
+
+    def __getitem__(self, j: int) -> int:
+        b = self.provider and self.provider._cached(self.nprime, j)
+        return gamma_norm(j, self.nprime) if b is None else sum(
+            b.binom[:j + 1])
+
+    def __iter__(self) -> Iterator[int]:
+        b = self.provider and self.provider._cached(self.nprime, self.e)
+        return accumulate(_binomials(self.e, self.nprime) if b is None
+                          else b.binom[:self.e + 1])

@@ -44,17 +44,19 @@ leading m-block: rows and columns below m.  A ReLU stage at d_eff = e
 has m = min(e, n') + 1.  The block needs the first m binomials and the
 band columns j < m; a binomial suffix reaches it only when
 n' + shift < 2(m-1).  So when n' >= 3e - 1 ("ours") or n' >= 2e
-("serra") the block is diag(gamma_norms(e, n')), a scaling.  The gamma
-provider keeps one block per n' (``GammaProvider.b_matrix``) under its
-lock and cap, and rebuilds it only when a larger one is asked for.
+("serra") the block is the scaling diag(gamma_norm(j, n')), j <= e.
+The gamma provider keeps one block per n' (``GammaProvider.b_matrix``)
+under its lock and cap, and rebuilds it only when a larger one is asked
+for.
 
 A block also yields the two ends of B that the engine reads, with no
 product: column j, rows 0..j, is its diagonal entry, C(n', i) on the
 binomial suffix rows n'+shift-j <= i < j, and band column j; and the
-sums of columns 0..k are the prefix sums of the binomial row,
-gamma_norm(j, n'), by the definition of the diagonal.  All entries are
-exact non-negative integers; ``BMatrix.dense_rows`` lists them row by
-row, and ``regionbound.cli`` writes them as text.
+sums of columns 0..k, gamma_norm(j, n') by the definition of the
+diagonal, are the prefix sums of its binomial row, which
+``gamma.Norms`` reads.  All entries are exact non-negative integers;
+``BMatrix.dense_rows`` lists them row by row, and ``regionbound.cli``
+writes them as text.
 """
 from __future__ import annotations
 
@@ -110,12 +112,6 @@ class BMatrix:
             _, i, g = self.band[j - self.band[0][0]]
             col[i:i + len(g)] = g
         return col
-
-    def column_sums(self, k: int) -> list[int]:
-        """Sums of columns 0..k, gamma_norm(j, n') by the definition of
-        the diagonal: the prefix sums of the binomial row."""
-        self._fits(k + 1)
-        return list(accumulate(self.binom[:k + 1]))
 
     def dense_rows(self) -> Iterator[list[int]]:
         """Rows 0..m-1, each made as it is read.  Row i meets band column

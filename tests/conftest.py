@@ -5,11 +5,12 @@ from functools import lru_cache
 from itertools import islice
 from math import comb
 
+import pytest
 from hypothesis import strategies as st
 
 from regionbound import archspec, engine, oracle
-from regionbound.gamma import (GammaProvider, GammaVariant, first_layer_gamma,
-                               gamma_norm)
+from regionbound.gamma import (GammaProvider, GammaVariant, Norms,
+                               first_layer_gamma, gamma_norm)
 
 
 # -- histogram algebra and accessors that only tests use -----------------------
@@ -584,8 +585,9 @@ def stage_transposed(ops, w):
 
 class CountingProvider(GammaProvider):
     """A gamma provider that records (n', m) of every block of B asked of
-    it, and every column ("column", n', j), column sum ("norm", n', j) and
-    column-sums list ("sums", n', k) read of it."""
+    it and every column ("column", n', j) read of it; with the
+    ``counting_norms`` fixture, also every column sum ("norm", n', j) and
+    column-sums list ("sums", n', k) that the engine reads through it."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -600,13 +602,31 @@ class CountingProvider(GammaProvider):
         self.reads.append(("column", nprime, j))
         return super().b_column(nprime, j)
 
-    def norm(self, nprime: int, j: int):
-        self.reads.append(("norm", nprime, j))
-        return super().norm(nprime, j)
 
-    def column_sums(self, nprime: int, k: int):
-        self.reads.append(("sums", nprime, k))
-        return super().column_sums(nprime, k)
+class CountingNorms(Norms):
+    """``Norms`` that records each read in its provider's ``reads`` when
+    that is a ``CountingProvider``: ("norm", n', j) for entry j and
+    ("sums", n', e) for the prefix list."""
+
+    __slots__ = ()
+
+    def _record(self, kind: str, index: int):
+        if isinstance(self.provider, CountingProvider):
+            self.provider.reads.append((kind, self.nprime, index))
+
+    def __getitem__(self, j: int):
+        self._record("norm", j)
+        return super().__getitem__(j)
+
+    def __iter__(self):
+        self._record("sums", self.e)
+        return super().__iter__()
+
+
+@pytest.fixture
+def counting_norms(monkeypatch):
+    """The engine makes its partial sums as ``CountingNorms``."""
+    monkeypatch.setattr(engine, "Norms", CountingNorms)
 
 
 def random_stage_tree(rng: random.Random, d: int, depth: int = 3,

@@ -407,6 +407,7 @@ class TestWalk:
         assert report.bound == gamma_norm(n0, width) ** 6 \
             == reference_bound(stages, variant, n0)
 
+    @pytest.mark.usefixtures("counting_norms")
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_walk_stops_at_the_first_off_diagonal_relu(self, variant):
         # j = 2 throughout: dense 16 is diagonal at j = 2, the maxpool and
@@ -478,7 +479,7 @@ class TestOneEntryPerStage:
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_diagonal_norms_keep_no_list(self, variant):
         # d_eff 3000 at n' = 12000 is diagonal in both variants; the
-        # prefix sums of gamma_norms(3000, 12000) took 2.4 MiB
+        # prefix list of gamma_norm(j, 12000), j <= 3000, took 2.4 MiB
         stages = archspec.resolve(archspec.mlp(3000, 12000, 2))
         gc.collect()
         tracemalloc.start()
@@ -490,6 +491,7 @@ class TestOneEntryPerStage:
         assert report.bound == gamma_norm(3000, 12000) ** 2
         assert peak < 256 * 2 ** 10
 
+    @pytest.mark.usefixtures("counting_norms")
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     @pytest.mark.parametrize("n0,width", [(784, 128), (64, 100)])
     def test_all_ones_stop_reads_no_column(self, variant, n0, width):
@@ -503,6 +505,7 @@ class TestOneEntryPerStage:
         assert report.bound == gamma_norm(n0, width) \
             == reference_bound(stages, variant, n0)
 
+    @pytest.mark.usefixtures("counting_norms")
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_run_of_equal_stages_reads_one_norm(self, variant):
         # six diagonal stages of width 64 at j = 8, then one of width 40
@@ -527,8 +530,8 @@ class TestOneEntryPerStage:
     def test_gamma_norm_is_the_last_prefix_sum(self):
         for nprime in range(61):
             for n in range(61):
-                assert gamma_norm(n, nprime) == \
-                    gamma.gamma_norms(n, nprime)[-1], (n, nprime)
+                assert gamma_norm(n, nprime) == gamma.Norms(nprime, n)[n] \
+                    == list(gamma.Norms(nprime, n))[-1], (n, nprime)
 
 
 class TestCompareAndSweep:
@@ -627,7 +630,7 @@ class TestRendering:
         # unless the integer part needs more digits than the precision
         def two_divisions(ratio, digits):
             with decimal.localcontext() as ctx:
-                ctx.prec = max(digits, 1)
+                ctx.prec = digits
                 d = decimal.Decimal(ratio.numerator) / decimal.Decimal(
                     ratio.denominator)
             exp = d.adjusted()
@@ -642,7 +645,10 @@ class TestRendering:
         # carries: 10^(p+1) - 5 over 10^q rounds up to a power of ten at
         # p digits, as 99995/10000 gives 10.00 at 4
         cases = [(Fraction(10 ** (p + 1) - 5, 10 ** q), p)
-                 for p in range(0, 7) for q in range(0, p + 5)]
+                 for p in range(1, 7) for q in range(0, p + 5)]
+        for q in range(0, 5):  # p = 0: decimal has no precision 0
+            with pytest.raises(ValueError):
+                cli.format_ratio(Fraction(5, 10 ** q), 0)
         rng = random.Random(89)
         for _ in range(2000):
             den = rng.randrange(1, 10 ** rng.randint(1, 30))
@@ -653,6 +659,17 @@ class TestRendering:
             assert cli.format_ratio(ratio, digits) == \
                 two_divisions(ratio, digits), (ratio, digits)
         assert cli.format_ratio(Fraction(99995, 10000), 4) == "10.00"
+
+    def test_rendering_ignores_the_callers_exponent_range(self):
+        # a bound of a million digits overflows the default Emax, 999,999
+        cases = [(cli.scientific, 10 ** 20, "1.000×10^20"),
+                 (cli.format_ratio, Fraction(10 ** 20, 3), "3.333×10^19")]
+        with decimal.localcontext() as ctx:
+            ctx.Emax = 10
+            for fn, x, text in cases:
+                assert fn(x) == text
+        for fn, x, text in cases:
+            assert fn(x) == text
 
     def test_gamma_norm_consistency(self):
         # single-hidden-layer bound equals the norm shortcut

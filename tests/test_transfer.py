@@ -1,11 +1,13 @@
 """Stage transforms: the B matrix, and the clips and diagonal scalings the
 engine applies for rank-limited, max-pooling and skip/residual stages."""
 import gc
+import math
 import random
 import sys
 import threading
 import tracemalloc
 from functools import partial
+from itertools import accumulate
 from operator import mul
 
 import pytest
@@ -134,7 +136,7 @@ class TestBMatrix:
         diagonal = {"ours": lambda j, n: 3 * j < n + 2,
                     "serra": lambda j, n: 2 * j <= n}[variant]
         for nprime in range(1, 131):
-            norms = gamma.gamma_norms(nprime, nprime)
+            norms = [gamma_norm(j, nprime) for j in range(nprime + 1)]
             cols = b_columns(transfer.b_matrix(GammaProvider(variant),
                                                nprime))
             for j, col in enumerate(cols):
@@ -203,15 +205,16 @@ class TestBMatrix:
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_block_is_diagonal_exactly_in_the_scaling_regime(self, variant):
-        # at d_eff = e the block of order e is diag(gamma_norms(e, n'))
-        # exactly when n' >= 3e - 1 ("ours") or n' >= 2e ("serra"); past
-        # n'/2 + 2 no block is diagonal, since its columns are not
+        # at d_eff = e the block of order e is the scaling
+        # diag(gamma_norm(j, n')), j <= e, exactly when n' >= 3e - 1
+        # ("ours") or n' >= 2e ("serra"); past n'/2 + 2 no block is
+        # diagonal, since its columns are not
         scaling = {"ours": lambda e, n: n >= 3 * e - 1,
                    "serra": lambda e, n: n >= 2 * e}[variant]
         for nprime in range(1, 131):
             for e in range(min(nprime, nprime // 2 + 2) + 1):
                 b = transfer.b_matrix(GammaProvider(variant), nprime, e + 1)
-                norms = gamma.gamma_norms(e, nprime)
+                norms = [gamma_norm(j, nprime) for j in range(e + 1)]
                 diagonal = list(b.dense_rows()) == [
                     [x if i == j else 0 for j in range(e + 1)]
                     for i, x in enumerate(norms)]
@@ -412,7 +415,7 @@ class TestComposeApply:
         # B on unit(2) is column 2 of B
         b = transfer.b_matrix(GammaProvider("ours"), 2)
         assert b.column(2) == [1, 2, 1]
-        assert b.column_sums(2)[2] == 4
+        assert sum(b.column(2)) == 4
 
     def test_identity_composition(self):
         # stages that cut nothing leave the bound unchanged
@@ -452,7 +455,8 @@ class TestComposeApply:
 
 class TestBothEnds:
     """Column j of B is built from the closed forms, and B^T on all ones
-    is gamma_norms; a ReLU stage reads either one without a block."""
+    is the prefix list of gamma_norm; a ReLU stage reads either one
+    without a block."""
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_column_from_closed_forms(self, variant):
@@ -465,6 +469,7 @@ class TestBothEnds:
                 assert tuple(col) + (0,) * (nprime - j) == \
                     tuple(row[j] for row in rows), (nprime, j)
 
+    @pytest.mark.usefixtures("counting_norms")
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_all_ones_read_column_sums(self, variant):
         # the transposed pass hands a stage its all-ones input as None
@@ -475,11 +480,13 @@ class TestBothEnds:
                 assert b.rows == m
                 counting = CountingProvider(variant)
                 for k in range(1, m + 1):
-                    norms = gamma.gamma_norms(k - 1, nprime)
+                    norms = [gamma_norm(j, nprime) for j in range(k)]
                     assert b.transposed([1] * k) == norms
                     relu = engine._ReLU(counting, nprime, k - 1)
                     assert relu.transposed(None) == norms
                 assert counting.fetches == []
+                assert counting.reads == [("sums", nprime, k)
+                                          for k in range(m)]
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_other_inputs_fetch_the_block(self, variant):
@@ -496,8 +503,8 @@ class TestBothEnds:
 
 class TestEndsFromTheBlock:
     """Column j and the column sums of B read from the stored structure of
-    a block, which a provider serves when it holds a block that covers the
-    index, and builds from binomials, with no block, otherwise."""
+    a block when the provider holds one that covers the index, and are
+    built from binomials, with no block, otherwise."""
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_column_of_every_leading_block(self, variant):
@@ -513,14 +520,44 @@ class TestEndsFromTheBlock:
                     b.column(m)
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
-    def test_column_sums_of_every_leading_block(self, variant):
+    def test_norms_with_and_without_a_block(self, variant, monkeypatch):
+        # no provider, a cold one, and a warm one whose blocks cover
+        # j <= n'/2: an entry or prefix list is read from the block when
+        # that covers its index, and stepped from binomials otherwise
+        warm = GammaProvider(variant)
         for nprime in range(1, 41):
-            norms = gamma.gamma_norms(nprime, nprime)
-            for m in range(1, nprime + 2):
-                b = gamma._b_matrix(nprime, variant == "ours", m)
-                for k in range(m):
-                    assert b.column_sums(k) == norms[:k + 1]
-                    assert b.column_sums(k) == b.transposed([1] * (k + 1))
+            transfer.b_matrix(warm, nprime, nprime // 2 + 1)
+        cold = GammaProvider(variant)
+        norms = {nprime: list(accumulate(math.comb(nprime, s)
+                                         for s in range(nprime + 1)))
+                 for nprime in range(1, 41)}
+
+        def no_block(*args):
+            raise AssertionError("a block was built for a partial sum")
+
+        stepped = []
+
+        def counted(*args):
+            stepped.append(args)
+            return binomials(*args)
+
+        binomials = gamma._binomials
+        monkeypatch.setattr(gamma, "_b_matrix", no_block)
+        monkeypatch.setattr(gamma, "_binomials", counted)
+        for nprime in range(1, 41):
+            for e in range(nprime + 1):
+                for p in (None, cold, warm):
+                    sums = gamma.Norms(nprime, e, p)
+                    del stepped[:]
+                    assert list(sums) == norms[nprime][:e + 1], (nprime, e)
+                    assert bool(stepped) is not (p is warm
+                                                 and e <= nprime // 2)
+                    for j in range(e + 1):
+                        del stepped[:]
+                        assert sums[j] == norms[nprime][j], (nprime, e, j)
+                        assert bool(stepped) is not (p is warm
+                                                     and j <= nprime // 2)
+        assert cold._b_matrices == {}
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_provider_serves_both_ends(self, variant, monkeypatch):
@@ -544,16 +581,13 @@ class TestEndsFromTheBlock:
         expected = {}
         for nprime in range(1, 41):
             for j in range(nprime + 1):
-                expected[nprime, j] = (gamma.b_column(nprime, ours, j),
-                                       gamma.gamma_norms(j, nprime))
+                expected[nprime, j] = gamma.b_column(nprime, ours, j)
         monkeypatch.setattr(gamma, "_b_matrix", no_block)
         monkeypatch.setattr(gamma, "b_column", counted(gamma.b_column))
-        monkeypatch.setattr(gamma, "gamma_norms", counted(gamma.gamma_norms))
-        for (nprime, j), (col, norms) in expected.items():
+        for (nprime, j), col in expected.items():
             for p in (warm, cold):
                 del built[:]
                 assert p.b_column(nprime, j) == col
-                assert p.column_sums(nprime, j) == norms
                 # from binomials unless a cached block covers j
                 covered = p is warm and j <= nprime // 2
                 assert bool(built) is not covered, (nprime, j)
