@@ -72,12 +72,22 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class ResolvedStage:
-    kind: str  # dense | linear | maxpool | skip | residual
+    """A stage from ``n_in`` to ``n_out`` nodes, of one of four kinds:
+
+    * ``dense``: an affine map, then a ReLU if ``relu``; conv, avgpool
+      and unpool lower to it;
+    * ``maxpool``: a max over windows of ``k`` nodes each;
+    * ``skip``/``residual``: ``body`` run on the input, and its output
+      concatenated to or added to the input.
+
+    An affine map of rank r below n_in and n_out is dense(r) then
+    dense(n_out), both without ReLU."""
+
+    kind: str
     n_in: int
     n_out: int
-    rank: int = 0
     relu: bool = False
-    k: int = 0  # maxout rank
+    k: int = 0
     body: tuple = field(default=())
     label: str = ""
 
@@ -255,39 +265,30 @@ def _resolve_blocks(blocks, shape, path: str):
                 "dense", n_in, n_out, relu=b.relu,
                 label=f"conv {c}x{h}x{w}->{b.out_channels}x{h2}x{w2}"))
             shape = (b.out_channels, h2, w2)
-        elif isinstance(b, AvgPool):
+        elif isinstance(b, (AvgPool, MaxPool)):
+            is_max = isinstance(b, MaxPool)
+            name, size, f = (("maxpool", "window", b.window) if is_max
+                             else ("avgpool", "factor", b.factor))
             if isinstance(shape, int):
-                raise ArchSpecError(f"{here}: avgpool needs a spatial input")
+                raise ArchSpecError(f"{here}: {name} needs a spatial input")
             c, h, w = shape
-            if h % b.factor or w % b.factor:
+            if h % f or w % f:
                 raise ArchSpecError(
                     f"{here}: spatial size {h}x{w} not divisible by "
-                    f"factor {b.factor}")
-            shape = (c, h // b.factor, w // b.factor)
+                    f"{size} {f}")
+            shape = (c, h // f, w // f)
             n_out = _nodes(shape)
-            stages.append(ResolvedStage("linear", n_in, n_out, rank=n_out,
-                                        label=f"avgpool {n_in}->{n_out}"))
+            stages.append(ResolvedStage(
+                "maxpool" if is_max else "dense", n_in, n_out,
+                k=f * f if is_max else 0, label=f"{name} {n_in}->{n_out}"))
         elif isinstance(b, Unpool):
             if isinstance(shape, int):
                 raise ArchSpecError(f"{here}: unpool needs a spatial input")
             c, h, w = shape
             shape = (c, h * b.factor, w * b.factor)
             n_out = _nodes(shape)
-            stages.append(ResolvedStage("linear", n_in, n_out, rank=n_in,
+            stages.append(ResolvedStage("dense", n_in, n_out,
                                         label=f"unpool {n_in}->{n_out}"))
-        elif isinstance(b, MaxPool):
-            if isinstance(shape, int):
-                raise ArchSpecError(f"{here}: maxpool needs a spatial input")
-            c, h, w = shape
-            if h % b.window or w % b.window:
-                raise ArchSpecError(
-                    f"{here}: spatial size {h}x{w} not divisible by "
-                    f"window {b.window}")
-            shape = (c, h // b.window, w // b.window)
-            n_out = _nodes(shape)
-            stages.append(ResolvedStage("maxpool", n_in, n_out,
-                                        k=b.window * b.window,
-                                        label=f"maxpool {n_in}->{n_out}"))
         else:  # Skip / Residual
             kind = "skip" if isinstance(b, Skip) else "residual"
             body, body_shape = _resolve_blocks(b.body, shape, f"{here}.body")

@@ -22,7 +22,7 @@ from .gamma import (DEFAULT_COLUMN_CAP, ColumnCapExceeded, GammaProvider,
                     GammaVariant)
 
 
-def scientific(n: int, digits: int = 4) -> str:
+def scientific(n: int | decimal.Decimal, digits: int = 4) -> str:
     """Render an exact integer as "m.mmm x 10^e" with the given mantissa digits."""
     if digits < 1:
         raise ValueError("need at least one mantissa digit")
@@ -33,9 +33,10 @@ def scientific(n: int, digits: int = 4) -> str:
     return _mantissa(d, digits)
 
 
-def exact(n: int) -> str:
+def exact(n: int | decimal.Decimal) -> str:
     """All decimal digits of an integer.  Unlike ``str``, this has no
-    4,300-digit limit, which the parsers keep for their input."""
+    4,300-digit limit, which the parsers keep for their input.  To render
+    one bound twice, pass a Decimal: converting an int is quadratic."""
     return str(decimal.Decimal(n))
 
 
@@ -207,8 +208,9 @@ def cmd_bound(cfg: CliConfig, arch_file, variant, output):
     """Exact region bound for an architecture file."""
     spec, stages = _load_arch(arch_file)
     provider = GammaProvider(variant, cap=cfg.gamma_cap)
-    bound = engine.evaluate(stages, variant, spec.input_nodes,
-                            provider=provider, halved_c=cfg.halved_c).bound
+    bound = decimal.Decimal(engine.evaluate(
+        stages, variant, spec.input_nodes, provider=provider,
+        halved_c=cfg.halved_c).bound)
     _emit(f"{exact(bound)}\n{scientific(bound, cfg.mantissa_digits)}\n",
           output)
 
@@ -225,8 +227,9 @@ def cmd_compare(cfg: CliConfig, arch_file, output):
                                         gamma_cap=cfg.gamma_cap,
                                         halved_c=cfg.halved_c)
     digits = cfg.mantissa_digits
-    _emit(f"ours={exact(ours.bound)} ({scientific(ours.bound, digits)})\n"
-          f"serra={exact(serra.bound)} ({scientific(serra.bound, digits)})\n"
+    ours, serra = (decimal.Decimal(r.bound) for r in (ours, serra))
+    _emit(f"ours={exact(ours)} ({scientific(ours, digits)})\n"
+          f"serra={exact(serra)} ({scientific(serra, digits)})\n"
           f"ratio={format_ratio(ratio, digits)}\n", output)
 
 
@@ -331,7 +334,8 @@ def cmd_demo(cfg: CliConfig, name, output):
                                 provider=provider,
                                 halved_c=cfg.halved_c).bound
         bounds.append(bound)
-        lines.append(f"{label}: {exact(bound)} ({scientific(bound, digits)})")
+        d = decimal.Decimal(bound)
+        lines.append(f"{label}: {exact(d)} ({scientific(d, digits)})")
     lines.append(f"ratio={format_ratio(Fraction(*bounds), digits)}")
     _emit("\n".join(lines) + "\n", output)
 

@@ -8,9 +8,9 @@ ambient dimension never changes a bound and is not tracked.  A stage
 map is a short list of three primitives: ``clip(k)``, a diagonal
 ``scale(f)`` and the ReLU layer's B matrix (``regionbound.transfer``):
 
-* ReLU ``dense`` with n_out units: [clip(n_out), B];
-* ``linear`` of rank r, and ``dense`` without ReLU (rank n_out):
-  [clip(min(d_eff, r, n_out))];
+* ``dense`` with n_out units: [clip(n_out)], plus B if it has a ReLU
+  (conv, avgpool and unpool lower to it; d_eff never exceeds a stage's
+  n_in, so a clip to n_out is the clip to the map's rank);
 * ``maxpool``: [scale(gamma_norm(n, c)), clip(n_out)];
 * ``skip``/``residual``: [scale(f)], f[j] being the body's mass on
   unit(j), the column sums of the body's matrix; both keep d_eff,
@@ -133,16 +133,10 @@ _Op = _Clip | _Scale | _ReLU
 def _stage_map(stage: ResolvedStage, e: int, provider: GammaProvider,
                halved_c: bool) -> tuple[list[_Op], int]:
     """One stage's primitives at d_eff = e, plus d_eff after the stage."""
-    if stage.kind == "dense" and stage.relu:
-        n_out = stage.n_out
-        k = min(e, n_out)
-        return [_Clip(n_out, e), _ReLU(provider, n_out, k)], k
-    if stage.kind in ("dense", "linear"):
-        # clip to the rank (at most n_out without a ReLU, which makes no
-        # cuts); embedding into n_out dimensions is a no-op
-        rank = stage.rank if stage.kind == "linear" else stage.n_out
-        k = min(e, rank, stage.n_out)
-        return [_Clip(k, e)], k
+    if stage.kind == "dense":  # d_eff <= n_in: clip(n_out) clips to the rank
+        k = min(e, stage.n_out)
+        relu = [_ReLU(provider, stage.n_out, k)] if stage.relu else []
+        return [_Clip(stage.n_out, e), *relu], k
     if stage.kind == "maxpool":
         # a maxout layer with n_out units of rank k cuts like
         # c = (k^2 - k) * n_out hyperplanes; halved_c takes c/2, the

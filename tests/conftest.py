@@ -434,6 +434,28 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=6), children, max_size=3),
     max_leaves=12)
 
+# block lists of every kind, nested in skip and residual wrappers, which
+# need not fit their input shape
+_leaf_blocks = st.one_of(
+    st.fixed_dictionaries({"dense": st.fixed_dictionaries(
+        {"out": st.integers(1, 40), "relu": st.booleans()})}),
+    st.fixed_dictionaries({"conv": st.fixed_dictionaries(
+        {"out_channels": st.integers(1, 8),
+         "kernel": st.sampled_from([1, 3, 5]), "stride": st.integers(1, 3),
+         "padding": st.integers(0, 2), "relu": st.booleans()})}),
+    *(st.fixed_dictionaries({kind: st.fixed_dictionaries(
+        {field: st.integers(2, 4)})})
+      for kind, field in (("avgpool", "factor"), ("unpool", "factor"),
+                          ("maxpool", "window"))))
+block_lists = st.recursive(
+    st.lists(_leaf_blocks, min_size=1, max_size=3),
+    lambda children: st.lists(
+        _leaf_blocks | st.builds(lambda kind, body: {kind: {"body": body}},
+                                st.sampled_from(["skip", "residual"]),
+                                children),
+        min_size=1, max_size=3),
+    max_leaves=6)
+
 
 @st.composite
 def one_site_broken(draw, docs, replacements=json_values):
@@ -528,10 +550,9 @@ def _ref_factors(stage, d, provider, halved_c):
     if stage.kind == "dense" and stage.relu:
         return [ref_m_matrix(d, stage.n_out),
                 ref_b_matrix(provider, stage.n_out)], stage.n_out
-    if stage.kind in ("dense", "linear"):
-        # a dense layer without ReLU is linear of rank at most n_out
-        rank = stage.rank if stage.kind == "linear" else stage.n_out
-        k = min(d, rank, stage.n_out)
+    if stage.kind == "dense":
+        # a dense layer without ReLU is affine of rank at most n_out
+        k = min(d, stage.n_out)
         return [ref_m_matrix(d, k), ref_m_matrix(k, stage.n_out)], stage.n_out
     if stage.kind == "maxpool":
         c = (stage.k * stage.k - stage.k) * stage.n_out
@@ -633,7 +654,8 @@ def random_stage_tree(rng: random.Random, d: int, depth: int = 3,
                       max_len: int = 3, max_width: int = 6):
     """Random stage list at input width d with nested skip/residual bodies.
 
-    Covers every stage kind; residual bodies end on a stage of width d.
+    Covers every stage kind, and affine maps of any rank as two dense
+    stages without ReLU; residual bodies end on a stage of width d.
     Returns (stages, output width).
     """
     stages = []
@@ -659,9 +681,10 @@ def random_stage_tree(rng: random.Random, d: int, depth: int = 3,
                                                  relu=True))
         elif kind == "dense_linear":
             stages.append(archspec.ResolvedStage("dense", d, n_out))
-        elif kind == "linear":
-            stages.append(archspec.ResolvedStage(
-                "linear", d, n_out, rank=rng.randint(1, max(d, n_out))))
+        elif kind == "linear":  # of rank r: dense(r), then dense(n_out)
+            r = rng.randint(1, max(d, n_out))
+            stages.append(archspec.ResolvedStage("dense", d, r))
+            stages.append(archspec.ResolvedStage("dense", r, n_out))
         else:
             stages.append(archspec.ResolvedStage(
                 "maxpool", d, n_out, k=rng.choice([2, 4, 9])))

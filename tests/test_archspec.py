@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flatten, one_site_broken
+from conftest import block_lists, flatten, one_site_broken
 from regionbound import archspec
 from regionbound.archspec import ArchSpecError
 
@@ -79,25 +79,6 @@ class TestParse:
             archspec.parse(doc)
 
 
-leaf_blocks = st.one_of(
-    st.fixed_dictionaries({"dense": st.fixed_dictionaries(
-        {"out": st.integers(1, 40), "relu": st.booleans()})}),
-    st.fixed_dictionaries({"conv": st.fixed_dictionaries(
-        {"out_channels": st.integers(1, 8),
-         "kernel": st.sampled_from([1, 3, 5]), "stride": st.integers(1, 3),
-         "padding": st.integers(0, 2), "relu": st.booleans()})}),
-    *(st.fixed_dictionaries({kind: st.fixed_dictionaries(
-        {field: st.integers(2, 4)})})
-      for kind, field in (("avgpool", "factor"), ("unpool", "factor"),
-                          ("maxpool", "window"))))
-block_lists = st.recursive(
-    st.lists(leaf_blocks, min_size=1, max_size=3),
-    lambda children: st.lists(
-        leaf_blocks | st.builds(lambda kind, body: {kind: {"body": body}},
-                                st.sampled_from(["skip", "residual"]),
-                                children),
-        min_size=1, max_size=3),
-    max_leaves=6)
 arch_docs = one_site_broken(st.fixed_dictionaries({
     "input": st.fixed_dictionaries({"nodes": st.integers(1, 40)})
     | st.fixed_dictionaries({"channels": st.integers(1, 3),
@@ -139,15 +120,15 @@ class TestResolve:
         doc = {"input": {"channels": 4, "height": 24, "width": 24},
                "blocks": [{"avgpool": {"factor": 2}}]}
         st = archspec.resolve(archspec.parse(doc))[0]
-        assert (st.kind, st.n_in, st.n_out, st.rank) == \
-            ("linear", 2304, 576, 576)
+        assert (st.kind, st.n_in, st.n_out, st.relu) == \
+            ("dense", 2304, 576, False)
 
     def test_unpool_rank(self):
         doc = {"input": {"channels": 4, "height": 6, "width": 6},
                "blocks": [{"unpool": {"factor": 2}}]}
         st = archspec.resolve(archspec.parse(doc))[0]
-        assert (st.kind, st.n_in, st.n_out, st.rank) == \
-            ("linear", 144, 576, 144)
+        assert (st.kind, st.n_in, st.n_out, st.relu) == \
+            ("dense", 144, 576, False)
 
     def test_maxpool_rank(self):
         doc = {"input": {"channels": 2, "height": 4, "width": 4},
@@ -201,8 +182,8 @@ class TestBuiltins:
     def test_ae_matches_unet_without_skips(self):
         unet = flatten(archspec.resolve(archspec.builtin("unet_small")))
         ae = archspec.resolve(archspec.builtin("ae_small"))
-        assert [(s.kind, s.n_out, s.rank, s.relu, s.k) for s in unet] == \
-            [(s.kind, s.n_out, s.rank, s.relu, s.k) for s in ae]
+        assert [(s.kind, s.n_out, s.relu, s.k) for s in unet] == \
+            [(s.kind, s.n_out, s.relu, s.k) for s in ae]
 
     def test_node_arithmetic(self):
         stages = archspec.resolve(archspec.builtin("resnet_small"))

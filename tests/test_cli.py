@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from conftest import (build_gamma1n_witness, gamma_entry, net_to_json,
                       parse_histogram)
 import regionbound
-from regionbound import archspec, engine, transfer
+from regionbound import archspec, cli, engine, transfer
 from regionbound.cli import _parse_int_list, main, sweep_csv
 from regionbound.gamma import GammaProvider
 
@@ -308,6 +308,41 @@ class TestSweep:
             assert res.exit_code == 2
             assert res.stdout == ""
         assert not out.exists()
+
+
+class TestOneConversionPerBound:
+    """Converting an int to Decimal is quadratic in its digits, so every
+    bound that ``bound``, ``compare`` and ``demo`` print is converted once
+    for both its exact and its scientific form."""
+
+    def test_each_bound_is_converted_once(self, runner, tmp_path,
+                                          monkeypatch):
+        path = mlp_file(tmp_path, 10, [6] * 3)
+        stages = archspec.resolve(archspec.mlp(10, 6, 3))
+        ours, serra = (engine.evaluate(stages, v, 10).bound
+                       for v in ("ours", "serra"))
+        unet, ae = (engine.evaluate(archspec.resolve(s), "ours",
+                                    s.input_nodes).bound
+                    for s in (archspec.unet_small(), archspec.ae_small()))
+        converted = []
+        make = decimal.Decimal
+
+        def counting(value="0", context=None):
+            if isinstance(value, int):
+                converted.append(value)
+            return make(value, context)
+
+        monkeypatch.setattr(decimal, "Decimal", counting)
+        # the ratio's conversions are its own, not the bounds'
+        monkeypatch.setattr(cli, "format_ratio", lambda ratio, digits: "")
+        for args, bounds in ((["bound", path], [ours]),
+                             (["bound", "--variant", "serra", path], [serra]),
+                             (["compare", path], [ours, serra]),
+                             (["demo", "unet_small"], [unet, ae])):
+            converted.clear()
+            res = runner.invoke(main, args)
+            assert res.exit_code == 0, res.output
+            assert converted == bounds, args
 
 
 class TestLongBounds:

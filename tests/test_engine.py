@@ -7,9 +7,11 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (CountingProvider, _ref_factors, _ref_segment,
-                      mlp_bound, montufar2017, random_mlp_spec,
+                      block_lists, mlp_bound, montufar2017, random_mlp_spec,
                       random_stage_tree, ref_mat_vec, reference_bound,
                       reference_per_stage, serra_theorem1, stage_transposed)
 from regionbound import archspec, cli, engine, gamma, transfer
@@ -205,7 +207,7 @@ class TestTransposedPass:
                 (scale,), _ = engine._stage_map(stage, d, provider, halved_c)
                 assert scale.factors == forward
         kinds = {kind for kind, _ in seen}
-        assert {"dense", "linear", "maxpool", "skip", "residual"} <= kinds
+        assert {"dense", "maxpool", "skip", "residual"} <= kinds
         assert any(kind == "maxpool" and inside for kind, inside in seen)
         assert any(kind in ("skip", "residual") and inside
                    for kind, inside in seen)
@@ -284,6 +286,64 @@ class TestLinearDense:
         assert stage_transposed(ops, [3, 1, 2]) == [3, 1, 2]
 
 
+def _maps_built(stages, n0, variant):
+    """(stage, d_eff) for every stage map that ``evaluate`` builds, in the
+    order built; a wrapper's comes before its body's."""
+    seen = []
+    stage_map = engine._stage_map
+
+    def recording(stage, e, *args):
+        seen.append((stage, e))
+        return stage_map(stage, e, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_stage_map", recording)
+        engine.evaluate(stages, variant, n0)
+    return seen
+
+
+def _preorder(stages):
+    for stage in stages:
+        yield stage
+        yield from _preorder(stage.body)
+
+
+class TestDEffWithinNIn:
+    """d_eff starts at n0, the first stage's n_in; each stage leaves at
+    most its n_out, or keeps d_eff if it is a wrapper, whose n_out >= n_in.
+    So no stage's map sees d_eff above its n_in, and a dense stage's clip
+    to n_out is the clip to its rank: avgpool and unpool need no other."""
+
+    @staticmethod
+    def check(stages, n0):
+        for variant in ("ours", "serra"):
+            seen = _maps_built(stages, n0, variant)
+            assert [stage for stage, _ in seen] == list(_preorder(stages))
+            assert all(e <= stage.n_in for stage, e in seen)
+
+    def test_random_stage_trees(self):
+        rng = random.Random(89)
+        for _ in range(200):
+            n0 = rng.randint(1, 6)
+            stages, _ = random_stage_tree(rng, n0)
+            self.check(stages, n0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fixed_dictionaries({
+        "input": st.fixed_dictionaries({"nodes": st.integers(1, 8)})
+        | st.fixed_dictionaries({"channels": st.integers(1, 2),
+                                 "height": st.integers(1, 8),
+                                 "width": st.integers(1, 8)}),
+        "blocks": block_lists}))
+    def test_architecture_documents(self, doc):
+        try:
+            spec = archspec.parse(doc)
+            stages = archspec.resolve(spec)
+        except archspec.ArchSpecError:
+            return  # the block list does not fit its input
+        self.check(stages, spec.input_nodes)
+
+
 class TestMaxpoolMemory:
     def test_large_window_count_stays_small(self):
         # c = (4^2 - 4) * 64 = 768 cut hyperplanes on a 256-dimensional
@@ -322,8 +382,8 @@ class TestBothEnds:
                                          halved_c=halved_c)
                 assert report.bound == reference_bound(stages, variant, n0,
                                                        halved_c)
-        assert {("dense", True), ("dense", False), ("linear", False),
-                ("maxpool", False), ("skip", False)} <= first
+        assert {("dense", True), ("dense", False), ("maxpool", False),
+                ("skip", False)} <= first
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
     def test_warm_provider_gives_the_fresh_bound(self, variant):
@@ -347,7 +407,7 @@ class TestBothEnds:
                                              halved_c=halved_c)
                     assert report.bound == fresh
                 assert fresh == reference_bound(stages, variant, n0, halved_c)
-        assert {"dense", "linear", "maxpool", "skip"} <= first
+        assert {"dense", "maxpool", "skip"} <= first
         assert len(set(shared.fetches)) > 1
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
@@ -374,8 +434,8 @@ class TestBothEnds:
         (ResolvedStage("dense", 10, 6, relu=True),
          ResolvedStage("dense", 6, 2, relu=True),
          ResolvedStage("dense", 2, 1)),
-        # the last ReLU stage, order 6, after a linear one
-        (ResolvedStage("linear", 10, 8, rank=8),
+        # the last ReLU stage, order 6, after one without ReLU
+        (ResolvedStage("dense", 10, 8),
          ResolvedStage("dense", 8, 6, relu=True),
          ResolvedStage("dense", 6, 1))])
     def test_cap_applies_to_blocks_never_built(self, stages):

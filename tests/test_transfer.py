@@ -1,5 +1,5 @@
 """Stage transforms: the B matrix, and the clips and diagonal scalings the
-engine applies for rank-limited, max-pooling and skip/residual stages."""
+engine applies for dense, max-pooling and skip/residual stages."""
 import gc
 import math
 import random
@@ -320,20 +320,20 @@ class TestBMatrix:
 
 
 class TestMMatrix:
-    """The clip/embed M matrix of a rank-limited stage is Histogram.clip;
-    the engine applies its transpose."""
+    """The clip/embed M matrix of a dense stage without ReLU is
+    Histogram.clip; the engine applies its transpose."""
 
     def test_identity_case(self):
         rng = random.Random(2)
-        ops = stage_map(ResolvedStage("linear", 4, 4, rank=4), 4)
+        ops = stage_map(ResolvedStage("dense", 4, 4), 4)
         for _ in range(20):
             w = [rng.randint(0, 20) for _ in range(5)]
             assert stage_transposed(ops, w) == w
 
     def test_embedding(self):
-        # embedding into 2 dimensions keeps d_eff at the rank, 1, and
-        # moves no mass: its transpose is the identity on indices 0..1
-        ops, e = engine._stage_map(ResolvedStage("linear", 1, 2, rank=1), 1,
+        # embedding into 2 dimensions keeps d_eff at 1 and moves no
+        # mass: its transpose is the identity on indices 0..1
+        ops, e = engine._stage_map(ResolvedStage("dense", 1, 2), 1,
                                    GammaProvider("ours"), False)
         assert e == 1
         assert stage_transposed(ops, [4, 7]) == [4, 7]
@@ -347,7 +347,7 @@ class TestMMatrix:
             n = max(len(v) - 1, 0)
             nprime = rng.randint(0, 8)
             ops, k = engine._stage_map(
-                ResolvedStage("linear", n, nprime, rank=nprime), n,
+                ResolvedStage("dense", n, nprime), n,
                 GammaProvider("ours"), False)
             w = [rng.randint(0, 20) for _ in range(k + 1)]
             mt = [list(col) for col in zip(*ref_m_matrix(n, nprime))]
@@ -421,7 +421,7 @@ class TestComposeApply:
         # stages that cut nothing leave the bound unchanged
         plain = [dense(3), dense(2)]
         padded = [dense(5, relu=False), dense(3),
-                  ResolvedStage("linear", 3, 3, rank=3), dense(2)]
+                  ResolvedStage("dense", 3, 3), dense(2)]
         assert [reference_per_stage(plain, "ours", 2)[i][1] for i in (0, 1)] \
             == [reference_per_stage(padded, "ours", 2)[i][1] for i in (1, 3)]
         for n0 in range(1, 5):
@@ -439,7 +439,7 @@ class TestComposeApply:
         rng = random.Random(9)
         transposes = [(transfer.b_matrix(GammaProvider("ours"), 6).transposed,
                        6)]
-        for stage in (ResolvedStage("linear", 6, 3, rank=3), maxpool(2, 2),
+        for stage in (ResolvedStage("dense", 6, 3), maxpool(2, 2),
                       skip(dense(6))):
             ops, e = engine._stage_map(stage, 6, GammaProvider("ours"), False)
             transposes.append((partial(stage_transposed, ops), e))
