@@ -184,9 +184,12 @@ def evaluate(stages: Sequence[ResolvedStage], variant: GammaVariant | str,
              halved_c: bool = False) -> BoundReport:
     """Exact upper bound on the number of linear regions of the network.
 
+    ``n0`` is the input dimension, at most the first stage's ``n_in``.
     ``provider`` supplies the blocks of B, under its own cap on their
     order; by default a fresh one with the default cap."""
     variant = GammaVariant(variant)
+    if stages and n0 > stages[0].n_in:
+        raise ValueError(f"n0 = {n0} exceeds the {stages[0].n_in} inputs")
     if provider is None:
         provider = GammaProvider(variant)
     elif provider.variant is not variant:

@@ -23,29 +23,35 @@ paths with i < k end on the n=1 seed, and the hockey-stick identity sums
 them.  The entry i = k, 2*C(m-2, n-1) + C(m-2, n-2), is the same form
 at s = k, and at n = m the form gives row m of Pascal's triangle.
 
-Both closed forms are stepped exactly, with no Pascal's triangle: the
-binomial row of nprime steps from C(nprime, 0) = 1, and the
-entries i <= k of each "ours" gamma(n, m) step from one ``math.comb``.
-A column therefore costs O(nprime^2) big-int multiply-divides.  It is
-made one gamma(n, nprime) at a time from the binomial row, so reading
-it holds O(nprime^2) bits, a few rows' worth, never the whole column.
-Only the CLI ``gamma`` command reads columns.
+The binomial row of nprime steps exactly from C(nprime, 0) = 1.  Below
+it, "ours" has one identity: with V(n, a) = C(a, n-2) + 2*C(a, n-1) and
+L_n[t] = V(n, n-2+t), entry i <= k of gamma(n, m) is L_n[2i - k] (0 for
+2i < k), and L_n is the running sum of L_{n-1}:
+
+    L_n[t] = L_n[t-1] + L_{n-1}[t]  (t >= 1),  L_n[0] = 1.
+
+Proof: Pascal's rule on both binomials gives V(n, a) = V(n, a-1) +
+V(n-1, a-1), and V(n, n-2) = 1.  With C(a, -1) = 0 the chain starts at
+the first-layer seed, L_1 = (1, 2, 2, ...).  A column is made one
+gamma(n, nprime) at a time, L_n being one ``accumulate`` of L_{n-1} cut
+to t <= k: about nprime^2/2 additions, holding a few rows, never the
+whole column.  Only the CLI ``gamma`` command reads columns.
 
 The engine needs only the ReLU-layer B matrix, whose off-diagonal
 entries these closed forms make C(nprime, i) on a suffix of each row,
 plus for "ours" a band of about nprime^2/12 entries, whose column j is
-entries of gamma(j, nprime) as ``_ours_lower`` steps them (see
-``regionbound.transfer``), and of B only the leading block of order
-min(d_eff, nprime).  The provider builds a block of order m-1 from
-those binomials directly, in O(m) big-int steps for "serra" and at
-most O(m^2) for "ours", without a column, and keeps one block per
-nprime.  The engine also reads column j of B (``b_column``) and the
-partial sums gamma_norm(j, nprime) = sum_{s<=j} C(nprime, s), which are
-B's column sums and the max-pooling factors.  One ``Norms`` object
-gives them: one entry, a running sum with no list, or the prefix list.
-Both ends are read from the provider's block when that covers the index
-and are otherwise stepped from binomials in O(j), never building a
-block for them.  Column j is gamma_norm(j, nprime) times unit(j) when
+entries of L_j (see ``regionbound.transfer``), and of B only the
+leading block of order min(d_eff, nprime).  The provider builds a block
+of order m-1 without a column: O(m) big-int steps for "serra", plus for
+"ours" one closed-form L_j and one ``accumulate`` per band column, at
+most about 2*nprime^2/9 additions.  It keeps one block per nprime.  The
+engine also reads column j of B (``b_column``) and the partial sums
+gamma_norm(j, nprime) = sum_{s<=j} C(nprime, s), which are B's column
+sums and the max-pooling factors.  One ``Norms`` object gives them: one
+entry, a running sum with no list, or the prefix list.  Both ends are
+read from the provider's block when that covers the index and are
+otherwise stepped from binomials in O(j), never building a block for
+them.  Column j is gamma_norm(j, nprime) times unit(j) when
 ``diagonal_column`` holds.
 """
 from __future__ import annotations
@@ -101,36 +107,22 @@ def gamma_norm(n: int, nprime: int) -> int:
 
 # -- seeds and closed forms ----------------------------------------------------
 
-def first_layer_gamma(n: int) -> list[int]:
-    """Tightest one-dimensional-input seed for n hyperplanes ("ours"),
-    entries 0..n."""
-    if n < 1:
-        raise ValueError("need at least one hyperplane")
-    zeros = (n + 1) // 2 - 1
-    return [0] * zeros + [n % 2] + [2] * (n // 2) + [1]
+def _ours_run(n: int, t: int, stop: int) -> list[int]:
+    """L_n[t], L_n[t+2], ... at indices below ``stop``: entry i <= k of
+    the "ours" gamma(n, nprime) is L_n[2i - k], and 0 where 2i < k (see
+    the module docstring).
 
-
-def _ours_lower(n: int, nprime: int, stop: int | None = None) -> list[int]:
-    """Entries 0..k of the "ours" gamma(n, nprime), 1 <= n <= nprime,
-    k = nprime - n (see the module docstring), or only the first ``stop``.
-
-    For n = 1 they are the first-layer seed's.  Otherwise entry i is 0
-    where s = 2i - k < 0, else t*(2a-n+3)/(n-1) with a = n-2+s and
-    t = C(a, n-2); t starts from one ``math.comb`` and steps
-    C(a+2, n-2) = t*(a+1)*(a+2) / ((a-n+3)*(a-n+4)) exactly.
+    L_1 = (1, 2, 2, ...) is the first-layer seed.  For n >= 2, L_n[t] =
+    C(a, t) + 2*C(a, t-1) = u*(n-1+2t)/(n-1) at a = n-2+t, with u = C(a, t)
+    stepped exactly by C(a+2, t+2) = u*(a+1)*(a+2)/((t+1)*(t+2)).
     """
-    k = nprime - n
-    count = k + 1 if stop is None else min(stop, k + 1)
     if n == 1:
-        return first_layer_gamma(nprime)[:count]
-    entries = [0] * min((k + 1) // 2, count)
-    a = n - 2 + k % 2
-    t = comb(a, n - 2)
-    for _ in range(count - len(entries)):
-        entries.append(t * (2 * a - n + 3) // (n - 1))
-        t = t * ((a + 1) * (a + 2)) // ((a - n + 3) * (a - n + 4))
-        a += 2
-    return entries
+        return [2 - (s == 0) for s in range(t, stop, 2)]
+    run, u = [], comb(n - 2 + t, t)
+    for t in range(t, stop, 2):
+        run.append(u * (n - 1 + 2 * t) // (n - 1))
+        u = u * ((n - 1 + t) * (n + t)) // ((t + 1) * (t + 2))
+    return run
 
 
 def b_column(nprime: int, ours: bool, j: int) -> list[int]:
@@ -140,8 +132,9 @@ def b_column(nprime: int, ours: bool, j: int) -> list[int]:
     row, k = list(_binomials(j, nprime)), nprime - j  # C(nprime, 0..j)
     if not ours:
         off = [0] * min(k, j) + row[k:j]
-    elif j:
-        off = _ours_lower(j, nprime, j) + row[k + 1:j]
+    elif j:  # rows i < j of gamma(j, nprime) reach t = 2i - k <= 2j-2-k
+        off = ([0] * min((k + 1) // 2, j) + _ours_run(
+            j, k % 2, min(k, 2 * j - 2 - k) + 1) + row[k + 1:j])
     else:  # gamma(0, nprime) = unit(nprime) has no entry below index 0
         off = []
     return off + [sum(row) - sum(off)]
@@ -161,20 +154,27 @@ def _b_matrix(nprime: int, ours: bool, m: int) -> BMatrix:
 
     It needs the first m binomials and their prefix sums
     gamma_norm(j, nprime), j < m, and for "ours" the band columns
-    (nprime+2)/3 <= j < m: the entries from row (nprime-j)/2 on that
-    ``_ours_lower`` steps for gamma(j, nprime).
+    (nprime+2)/3 <= j < m: L_j[2i - nprime + j] for the rows i from
+    (nprime-j)/2 on, each L_j after the first one ``accumulate`` of the
+    last, cut to t <= nprime - j.
     """
     n = nprime
     binom = list(_binomials(m - 1, n))
     norms = list(accumulate(binom))  # norms[j] = gamma_norm(j, n)
     off = [0] * m  # off-diagonal sum of each column
     band: list[tuple[int, int, tuple[int, ...]]] = []
-    if ours:
-        for j in range((n + 4) // 3, m):
-            lo = (n - j + 1) // 2
-            col = tuple(_ours_lower(j, n, j)[lo:])
+    if ours and m > (n + 4) // 3:
+        # run is L_j up to t = k = n - j, as for the gamma column; band
+        # column j reads it up to t = min(k, 2j-2-k)
+        start = (n + 4) // 3
+        run = [0] * (n - start + 1)
+        run[::2], run[1::2] = (_ours_run(start, t, len(run)) for t in (0, 1))
+        for j in range(start, m):
+            k = n - j
+            col = tuple(run[k % 2:min(k, 2 * j - 2 - k) + 1:2])
             off[j] = sum(col)
-            band.append((j, lo, col))
+            band.append((j, (k + 1) // 2, col))
+            run = list(accumulate(run[:k]))
     shift = 1 if ours else 0
     # rows n+shift-j <= i < j of column j hold C(n, i)
     for j in range(max(1, (n + shift) // 2 + 1), m):
@@ -187,10 +187,12 @@ def _b_matrix(nprime: int, ours: bool, m: int) -> BMatrix:
 def _column_rows(nprime: int, ours: bool) -> Iterator[tuple[int, ...]]:
     row = list(_binomials(nprime, nprime))
     yield (0,) * nprime + (1,)  # gamma(0, nprime), in both variants
+    run = [1] + [2] * (nprime - 1)  # L_n up to t = nprime - n, from L_1
     for n in range(1, nprime + 1):
         k = nprime - n
         if ours:
-            yield tuple(_ours_lower(n, nprime) + row[k + 1:])
+            yield tuple([0] * ((k + 1) // 2) + run[k % 2::2] + row[k + 1:])
+            run = list(accumulate(run[:k]))
         else:
             yield tuple([0] * k + row[k:])
 

@@ -25,7 +25,10 @@ closed form makes it C(n', i) for i > n'-j, again a suffix.  For
 i <= n'-j, set s = 2i - (n'-j) and a = j-2+s; the entry is 0 for
 s < 0 and C(a, j-2) + 2*C(a, j-1) otherwise (at i = n'-j this is the
 closed form's i = k case, with a = n'-2).  It can be nonzero only for
-(n'-j)/2 <= i <= n'-j, which with i < j is the band column.  The other
+(n'-j)/2 <= i <= n'-j, which with i < j is the band column.  The entry
+is L_j[s] of ``regionbound.gamma``, and Pascal's rule makes L_{j+1} the
+running sum of L_j, so after one closed-form column each band column is
+one ``accumulate``: about 2n'^2/9 big-int additions in all.  The other
 columns fit: column 0 has no off-diagonal entry, entry 0 of column 1 is
 0 for n' >= 2 by the first-layer seed, and column n' is row n' of
 Pascal's triangle, whose entry 0 (that is 1) is its band column while

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from regionbound import archspec, engine, oracle
-from regionbound.gamma import (GammaProvider, GammaVariant, Norms,
-                               first_layer_gamma, gamma_norm)
+from regionbound.gamma import GammaProvider, GammaVariant, Norms, gamma_norm
 
 
 # -- histogram algebra and accessors that only tests use -----------------------
@@ -192,6 +191,52 @@ def tent_net(depth: int) -> oracle.ConcreteNet:
     layers += [layer_of([[2, -4], [2, -4]], [0, "-1/2"])] * (depth - 1)
     layers.append(layer_of([[2, -4]], [0], relu=False))
     return oracle.ConcreteNet(1, tuple(layers))
+
+
+def first_layer_gamma(n: int) -> list[int]:
+    """Tightest one-dimensional-input seed for n hyperplanes ("ours"),
+    entries 0..n."""
+    if n < 1:
+        raise ValueError("need at least one hyperplane")
+    zeros = (n + 1) // 2 - 1
+    return [0] * zeros + [n % 2] + [2] * (n // 2) + [1]
+
+
+def ours_lower(n: int, nprime: int) -> list[int]:
+    """Entries 0..k of the "ours" gamma(n, nprime), 1 <= n <= nprime,
+    k = nprime - n, each from the per-entry closed form.
+
+    Reference for the Pascal chain of ``regionbound.gamma``: for n = 1
+    they are the first-layer seed's.  Otherwise entry i is 0 where
+    s = 2i - k < 0, else t*(2a-n+3)/(n-1) with a = n-2+s and
+    t = C(a, n-2); t starts from one ``math.comb`` and steps
+    C(a+2, n-2) = t*(a+1)*(a+2) / ((a-n+3)*(a-n+4)) exactly.
+    """
+    k = nprime - n
+    if n == 1:
+        return first_layer_gamma(nprime)[:k + 1]
+    entries = [0] * ((k + 1) // 2)
+    a = n - 2 + k % 2
+    t = comb(a, n - 2)
+    while len(entries) <= k:
+        entries.append(t * (2 * a - n + 3) // (n - 1))
+        t = t * ((a + 1) * (a + 2)) // ((a - n + 3) * (a - n + 4))
+        a += 2
+    return entries
+
+
+def ref_gamma_rows(variant, nprime: int) -> list[list[int]]:
+    """gamma(n, nprime) for n = 0..nprime, entry by entry from the closed
+    forms: ``math.comb`` on the binomial suffix, and below it 0 ("serra")
+    or ``ours_lower`` ("ours")."""
+    ours = GammaVariant(variant) is GammaVariant.OURS
+    row = [comb(nprime, i) for i in range(nprime + 1)]
+    rows = [[0] * nprime + [1]]
+    for n in range(1, nprime + 1):
+        k = nprime - n
+        rows.append(ours_lower(n, nprime) + row[k + 1:] if ours
+                    else [0] * k + row[k:])
+    return rows
 
 
 def serra_first_layer_gamma(n: int) -> Histogram:
@@ -457,6 +502,89 @@ block_lists = st.recursive(
     max_leaves=6)
 
 
+def _nodes(shape) -> int:
+    return shape if isinstance(shape, int) else shape[0] * shape[1] * shape[2]
+
+
+def _draw_blocks(draw, shape, depth: int):
+    """One to three blocks that fit ``shape``, and the shape they leave.
+
+    A flat shape takes dense blocks; a (c, h, w) one takes conv, pooling
+    whose factor divides h and w, unpooling of small maps, and now and
+    then a dense block, which flattens it.  While ``depth`` > 0 either
+    takes skip and residual wrappers, whose bodies are drawn the same
+    way one level down; a residual body that changes the node count
+    ends on a dense block back to it.  Shapes follow ``archspec``."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        flat = isinstance(shape, int)
+        kinds = ["dense"] if flat else ["conv", "conv", "pool", "dense"]
+        if not flat and shape[1] * shape[2] <= 16:
+            kinds.append("unpool")
+        if depth > 0:
+            kinds += ["skip", "residual"]
+        kind = draw(st.sampled_from(kinds))
+        n = _nodes(shape)
+        if kind in ("skip", "residual"):
+            body, body_shape = _draw_blocks(draw, shape, depth - 1)
+            if kind == "residual":
+                if _nodes(body_shape) != n:
+                    body.append({"dense": {"out": n,
+                                           "relu": draw(st.booleans())}})
+            elif (not flat and not isinstance(body_shape, int)
+                  and shape[1:] == body_shape[1:]):
+                shape = (shape[0] + body_shape[0], *shape[1:])
+            else:
+                shape = n + _nodes(body_shape)
+            blocks.append({kind: {"body": body}})
+        elif kind == "dense":
+            out = draw(st.integers(1, 12))
+            blocks.append({"dense": {"out": out, "relu": draw(st.booleans())}})
+            shape = out
+        elif kind == "conv":
+            c, h, w = shape
+            pad = draw(st.integers(0, 2))
+            kernel = draw(st.sampled_from(
+                [k for k in (1, 3, 5) if k <= min(h, w) + 2 * pad]))
+            stride, out = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+            blocks.append({"conv": {
+                "out_channels": out, "kernel": kernel, "stride": stride,
+                "padding": pad, "relu": draw(st.booleans())}})
+            shape = (out, (h + 2 * pad - kernel) // stride + 1,
+                     (w + 2 * pad - kernel) // stride + 1)
+        else:  # pool or unpool
+            c, h, w = shape
+            factors = ([2] if kind == "unpool" else
+                       [f for f in (2, 3, 4) if h % f == 0 == w % f])
+            if not factors:
+                continue
+            f = draw(st.sampled_from(factors))
+            if kind == "unpool":
+                blocks.append({"unpool": {"factor": f}})
+                shape = (c, h * f, w * f)
+            else:
+                blocks.append(draw(st.sampled_from(
+                    [{"maxpool": {"window": f}}, {"avgpool": {"factor": f}}])))
+                shape = (c, h // f, w // f)
+    if not blocks:  # every draw was a pooling that did not divide
+        blocks.append({"dense": {"out": 1, "relu": False}})
+        shape = 1
+    return blocks, shape
+
+
+@st.composite
+def shaped_documents(draw, max_depth: int = 3):
+    """Architecture documents that fit their input by construction: a flat
+    input of 1-8 nodes or a 1-2 x 1-8 x 1-8 one, then blocks from
+    ``_draw_blocks`` with wrappers nested up to ``max_depth`` deep."""
+    shape = draw(st.integers(1, 8) | st.tuples(
+        st.integers(1, 2), st.integers(1, 8), st.integers(1, 8)))
+    blocks, _ = _draw_blocks(draw, shape, max_depth)
+    inp = ({"nodes": shape} if isinstance(shape, int) else
+           dict(zip(("channels", "height", "width"), shape)))
+    return {"input": inp, "blocks": blocks}
+
+
 @st.composite
 def one_site_broken(draw, docs, replacements=json_values):
     """A document from ``docs``; in half of the draws one value anywhere in
@@ -531,8 +659,10 @@ def ref_m_matrix(n, nprime):
 
 
 def ref_b_matrix(provider, nprime):
-    """Row-major B: column j is clip(gamma(j, nprime), j)."""
-    cols = [h.clip(j) for j, h in enumerate(gamma_column(provider, nprime))]
+    """Row-major B: column j is clip(gamma(j, nprime), j), gamma taken from
+    the per-entry closed forms (``ref_gamma_rows``)."""
+    cols = [Histogram(h).clip(j) for j, h in
+            enumerate(ref_gamma_rows(provider.variant, nprime))]
     return [[c[i] for c in cols] for i in range(nprime + 1)]
 
 

@@ -8,12 +8,12 @@ from operator import mul
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (CountingProvider, _ref_factors, _ref_segment,
-                      block_lists, mlp_bound, montufar2017, random_mlp_spec,
+                      mlp_bound, montufar2017, random_mlp_spec,
                       random_stage_tree, ref_mat_vec, reference_bound,
-                      reference_per_stage, serra_theorem1, stage_transposed)
+                      reference_per_stage, serra_theorem1, shaped_documents,
+                      stage_transposed)
 from regionbound import archspec, cli, engine, gamma, transfer
 from regionbound.archspec import ResolvedStage
 from regionbound.gamma import ColumnCapExceeded, GammaProvider, gamma_norm
@@ -64,6 +64,15 @@ class TestDominanceAndDeterminism:
             bo = engine.evaluate(stages, "ours", spec.input_nodes).bound
             bs = engine.evaluate(stages, "serra", spec.input_nodes).bound
             assert bo <= bs
+
+    @settings(max_examples=200, deadline=None)
+    @given(shaped_documents())
+    def test_serra_never_smaller_on_documents(self, doc):
+        # every block kind, wrappers nested three deep (ROADMAP item 4)
+        spec = archspec.parse(doc)
+        ours, serra, _ = engine.compare(archspec.resolve(spec),
+                                        spec.input_nodes)
+        assert ours.bound <= serra.bound
 
     def test_deterministic(self):
         spec = archspec.builtin("unet_small")
@@ -329,19 +338,37 @@ class TestDEffWithinNIn:
             self.check(stages, n0)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.fixed_dictionaries({
-        "input": st.fixed_dictionaries({"nodes": st.integers(1, 8)})
-        | st.fixed_dictionaries({"channels": st.integers(1, 2),
-                                 "height": st.integers(1, 8),
-                                 "width": st.integers(1, 8)}),
-        "blocks": block_lists}))
+    @given(shaped_documents())
     def test_architecture_documents(self, doc):
-        try:
-            spec = archspec.parse(doc)
-            stages = archspec.resolve(spec)
-        except archspec.ArchSpecError:
-            return  # the block list does not fit its input
-        self.check(stages, spec.input_nodes)
+        spec = archspec.parse(doc)
+        self.check(archspec.resolve(spec), spec.input_nodes)
+
+
+class TestInputDimension:
+    """n0 is the dimension of the input space, so it cannot exceed the
+    first stage's n_in: a larger one bounds an input the net cannot
+    have, and is rejected."""
+
+    DOC = {"input": {"channels": 1, "height": 2, "width": 2},
+           "blocks": [{"unpool": {"factor": 2}},
+                      {"dense": {"out": 8, "relu": True}},
+                      {"dense": {"out": 1, "relu": False}}]}
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_n0_above_the_input_is_rejected(self, variant):
+        spec = archspec.parse(self.DOC)
+        stages = archspec.resolve(spec)
+        assert spec.input_nodes == stages[0].n_in == 4
+        assert engine.evaluate(stages, variant, 4).bound == 163
+        assert engine.evaluate(stages, variant, 3).bound == \
+            reference_bound(stages, variant, 3) == 93
+        for n0 in (5, 6, 100):
+            with pytest.raises(ValueError,
+                               match=f"n0 = {n0} exceeds the 4 inputs"):
+                engine.evaluate(stages, variant, n0)
+
+    def test_no_stage_takes_any_n0(self):
+        assert engine.evaluate((), "ours", 7).bound == 1
 
 
 class TestMaxpoolMemory:

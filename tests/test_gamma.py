@@ -1,13 +1,15 @@
 import gc
 import math
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 
 from conftest import (Histogram, columns_by_recursion, gamma_column,
-                      gamma_entry, leq)
+                      gamma_entry, leq, ours_lower)
+from regionbound import gamma
 from regionbound.gamma import (ColumnCapExceeded, GammaProvider, GammaVariant,
-                               first_layer_gamma, gamma_norm)
+                               gamma_norm)
 
 # Columns of the published n'=6 tables, index n -> (entry_0, ..., entry_6).
 OURS_6 = [
@@ -61,9 +63,10 @@ class TestSeeds:
         assert gamma_entry(gp, 9, 6) == gamma_entry(gp, 6, 6)
 
     def test_first_layer_shape(self):
-        assert first_layer_gamma(1) == [1, 1]
-        assert first_layer_gamma(2) == [0, 2, 1]
-        assert first_layer_gamma(5) == [0, 0, 1, 2, 2, 1]
+        gp = GammaProvider("ours")
+        assert gamma_entry(gp, 1, 1) == Histogram((1, 1))
+        assert gamma_entry(gp, 1, 2) == Histogram((0, 2, 1))
+        assert gamma_entry(gp, 1, 5) == Histogram((0, 0, 1, 2, 2, 1))
 
     def test_no_hyperplanes_rejected(self):
         with pytest.raises(ValueError, match="no hyperplanes"):
@@ -149,6 +152,62 @@ class TestOursClosedForm:
                 assert leq(h, col[n + 1])
         assert col[nprime] == Histogram(
             math.comb(nprime, i) for i in range(nprime + 1))
+
+
+class TestPascalChain:
+    """Every "ours" entry below the binomial suffix, in the gamma rows, in
+    column j of B and in the band of B, is L_j[2i - k] of a chain of
+    running sums, L_j = accumulate(L_{j-1}); each is checked against the
+    per-entry closed form (``conftest.ours_lower``), which shares no
+    code with it."""
+
+    def test_each_run_is_the_running_sum_of_the_last(self):
+        # L_j[t] = C(j-2+t, j-2) + 2*C(j-2+t, j-1) by math.comb, from
+        # L_1 = (1, 2, 2, ...); and the closed-form runs of both parities
+        count = 130
+        last = [1] + [2] * (count - 1)
+        for t in (0, 1):
+            assert gamma._ours_run(1, t, count) == last[t::2]
+        for j in range(2, 65):
+            run = [math.comb(a, j - 2) + 2 * math.comb(a, j - 1)
+                   for a in range(j - 2, j - 2 + count)]
+            assert run == list(accumulate(last)), j
+            for t in (0, 1):
+                assert gamma._ours_run(j, t, count) == run[t::2], (j, t)
+                assert gamma._ours_run(j, t, t) == []
+            last = run
+
+    @staticmethod
+    def block_orders(nprime):
+        """Every m for n' <= 100; above, the m around the first band
+        column, around n'/2 and at the ends: building every block of every
+        n' up to 300 takes about 15 s."""
+        if nprime <= 100:
+            return range(1, nprime + 2)
+        start, peak = (nprime + 4) // 3, (nprime + 1) // 2
+        return sorted({1, start - 1, start, start + 1, start + 2, peak - 1,
+                       peak, peak + 1, peak + 2, peak + 3, nprime,
+                       nprime + 1})
+
+    @pytest.mark.parametrize("first", range(1, 301, 50))
+    def test_against_the_closed_form_up_to_300(self, first):
+        for nprime in range(first, first + 50):
+            binom = [math.comb(nprime, i) for i in range(nprime + 1)]
+            lower = {j: ours_lower(j, nprime) for j in range(1, nprime + 1)}
+            rows = GammaProvider("ours").column(nprime)
+            assert next(rows) == (0,) * nprime + (1,)
+            for j, row in enumerate(rows, start=1):
+                k = nprime - j
+                assert list(row) == lower[j] + binom[k + 1:], (nprime, j)
+                assert gamma.b_column(nprime, True, j)[:j] == \
+                    (lower[j] + binom[k + 1:])[:j], (nprime, j)
+            for m in self.block_orders(nprime):
+                band = gamma._b_matrix(nprime, True, m).band
+                assert [j for j, _, _ in band] == \
+                    list(range((nprime + 4) // 3, m)), (nprime, m)
+                for j, lo, col in band:
+                    assert lo == (nprime - j + 1) // 2
+                    assert col == tuple(lower[j][lo:j]), (nprime, m, j)
 
 
 class TestCap:

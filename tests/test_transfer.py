@@ -65,15 +65,17 @@ def bound(stages, n0, halved_c=False):
 
 
 def skip(*body):
-    return ResolvedStage("skip", 0, 0, body=body)
+    n_in = body[0].n_in
+    return ResolvedStage("skip", n_in, n_in + body[-1].n_out, body=body)
 
 
-def dense(n_out, relu=True):
-    return ResolvedStage("dense", 0, n_out, relu=relu)
+def dense(n_in, n_out, relu=True):
+    return ResolvedStage("dense", n_in, n_out, relu=relu)
 
 
 def maxpool(n_out, k):
-    return ResolvedStage("maxpool", 0, n_out, k=k)
+    """Max over n_out windows of k nodes each, on n_out * k inputs."""
+    return ResolvedStage("maxpool", n_out * k, n_out, k=k)
 
 
 class TestBMatrix:
@@ -364,8 +366,9 @@ class TestMaxpoolDiag:
         assert diag[:3] == [1, 13, 79]
 
     def test_k2_single_output(self):
-        assert [bound([maxpool(1, 2)], n) for n in range(5)] == \
-            [1, 3, 4, 4, 4]
+        assert [bound([maxpool(1, 2)], n) for n in range(3)] == [1, 3, 4]
+        assert [bound([maxpool(2, 2)], n) for n in range(5)] == \
+            [gamma_norm(n, 4) for n in range(5)]
 
     def test_halved_constant(self):
         assert bound([maxpool(2, 3)], 1) == gamma_norm(1, 12)
@@ -373,24 +376,24 @@ class TestMaxpoolDiag:
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError, match="degenerate maxout"):
-            bound([maxpool(1, 1)], 4)
+            bound([maxpool(1, 1)], 1)
 
 
 class TestSkipDiag:
     """Entry j of a skip/residual diagonal is the body's mass on unit(j)."""
 
     def test_column_norm_example(self):
-        (scale,) = stage_map(skip(dense(2)), 1)
+        (scale,) = stage_map(skip(dense(1, 2)), 1)
         assert scale.factors == [1, 3]  # l1 of (1,0,0) and of (0,3,0)
-        assert reference_per_stage([skip(dense(2))], "ours", 1)[0][1] \
+        assert reference_per_stage([skip(dense(1, 2))], "ours", 1)[0][1] \
             == Histogram((0, 3))
-        assert bound([skip(dense(2))], 1) == 3
+        assert bound([skip(dense(1, 2))], 1) == 3
 
     def test_identity_segment(self):
         for n0 in range(5):
-            (scale,) = stage_map(skip(dense(3, relu=False)), n0)
+            (scale,) = stage_map(skip(dense(4, 3, relu=False)), n0)
             assert scale.factors == [1] * (n0 + 1)
-            assert bound([skip(dense(3, relu=False))], n0) == 1
+            assert bound([skip(dense(4, 3, relu=False))], n0) == 1
 
     def test_residual_equals_skip(self):
         rng = random.Random(5)
@@ -405,8 +408,8 @@ class TestSkipDiag:
         # the segment's histogram on unit(n), from the dense reference,
         # against the skip's factor on unit(n)
         for n in range(3):
-            seg = reference_per_stage([dense(3)], "ours", n)[-1][1]
-            (scale,) = stage_map(skip(dense(3)), n)
+            seg = reference_per_stage([dense(2, 3)], "ours", n)[-1][1]
+            (scale,) = stage_map(skip(dense(2, 3)), n)
             assert leq(seg, Histogram((0,) * n + (scale.factors[n],)))
 
 
@@ -419,9 +422,9 @@ class TestComposeApply:
 
     def test_identity_composition(self):
         # stages that cut nothing leave the bound unchanged
-        plain = [dense(3), dense(2)]
-        padded = [dense(5, relu=False), dense(3),
-                  ResolvedStage("dense", 3, 3), dense(2)]
+        plain = [dense(4, 3), dense(3, 2)]
+        padded = [dense(4, 5, relu=False), dense(5, 3),
+                  ResolvedStage("dense", 3, 3), dense(3, 2)]
         assert [reference_per_stage(plain, "ours", 2)[i][1] for i in (0, 1)] \
             == [reference_per_stage(padded, "ours", 2)[i][1] for i in (1, 3)]
         for n0 in range(1, 5):
@@ -439,8 +442,8 @@ class TestComposeApply:
         rng = random.Random(9)
         transposes = [(transfer.b_matrix(GammaProvider("ours"), 6).transposed,
                        6)]
-        for stage in (ResolvedStage("dense", 6, 3), maxpool(2, 2),
-                      skip(dense(6))):
+        for stage in (ResolvedStage("dense", 6, 3), maxpool(3, 2),
+                      skip(dense(6, 6))):
             ops, e = engine._stage_map(stage, 6, GammaProvider("ours"), False)
             transposes.append((partial(stage_transposed, ops), e))
         for _ in range(30):
