@@ -26,27 +26,29 @@ reading it: a scaling returns its factors, and B^T returns B's column
 sums, gamma_norm(j, n_out), since B's diagonal is defined as gamma_norm
 minus the column's off-diagonal sum.
 
-The bound walks unit(n0) as a pair (c, j) standing for c*unit(j),
-mapping each stage when it is reached and reading one entry of each
-primitive: a clip(k) sets j = min(j, k), a scaling sets c = c*f[j], and
-B sets c = c*gamma_norm(j, n_out), streamed with no list once per run
-of equal stages, when its column j is diagonal
-(``gamma.diagonal_column``).  At the first B whose column j is not, the
-rest is mapped and the bound is c*<column j, w>, w being its transposed
-pass, or c*gamma_norm(j, n_out) while that is all ones; if no B stops
-the walk, the bound is c.  No histogram is built.  A skip body stays
-one eager pass, since the benchmark pins the blocks of B it fetches
-(ROADMAP item 1).  Every partial sum gamma_norm(j, n') that a stage
-reads, one norm, the column sums or a max-pooling factor, comes from a
-``gamma.Norms`` made where it is read.  It and column j come from the
-gamma provider's block of B for n_out when that covers the index, else
-from binomials in O(j) steps, building no block.  B^T of any other
-vector reads the leading (min(d_eff, n_out) + 1)-block of B.  A ReLU
-stage checks that block's order against the provider's cap when its
-map is built and fetches the block only for such a product.  The gamma
+The bound walks unit(n0) as a pair (c, j) standing for c*unit(j), j
+being d_eff: a clip lowers both alike, and nothing else moves the unit.
+A dense stage is read with no map: it sets j = min(j, n_out), and its
+ReLU, if any, sets c = c*gamma_norm(j, n_out) while B's column j is
+diagonal (``gamma.diagonal_column``), once per run of equal stages.  A
+maxpool, skip or residual stage is mapped when the walk reaches it, and
+its scaling sets c = c*f[j].  At the first B whose column j is not
+diagonal, the rest is mapped and the bound is c*<column j, w>, w being
+its transposed pass, or c*gamma_norm(j, n_out) while that is all ones;
+if no B stops the walk, the bound is c.  No histogram is built.  A skip
+body stays one eager pass, since the benchmark pins the blocks of B it
+fetches (ROADMAP item 1).  Every partial sum gamma_norm(j, n') that a
+stage reads, one norm, the column sums or a max-pooling factor, comes
+from a ``gamma.Norms`` made where it is read.  It and column j come from
+the gamma provider's block of B for n_out when that covers the index,
+else from binomials (one norm in O(min(j, n' - j)) steps, the rest in
+O(j)), building no block.  B^T of any other vector reads the leading
+(min(d_eff, n_out) + 1)-block of B.  A ReLU stage checks that block's
+order against the provider's cap when the walk reads it or its map is
+built, and fetches the block only for such a product.  The gamma
 provider keeps one block per width, so a provider passed to repeated
-``evaluate`` calls shares them.  All arithmetic is exact, and so are
-the results: integer bounds and the ``Fraction`` serra/ours, which only
+``evaluate`` calls shares them.  All arithmetic is exact, and so are the
+results: integer bounds and the ``Fraction`` serra/ours, which only
 ``regionbound.cli`` renders as text.
 """
 from __future__ import annotations
@@ -102,8 +104,8 @@ class _Scale:
 
 class _ReLU:
     """B for n' hyperplanes on histograms with mass at indices up to k.
-    Column j comes from the provider and the column sums from ``Norms``;
-    the block is fetched only for a real product (see above)."""
+    The column sums come from ``Norms``; the block is fetched only for a
+    real product (see above)."""
 
     __slots__ = ("provider", "nprime", "k")
 
@@ -112,13 +114,6 @@ class _ReLU:
         self.provider = provider
         self.nprime = nprime
         self.k = k
-
-    def diagonal(self, j: int) -> bool:
-        return diagonal_column(self.nprime,
-                               self.provider.variant is GammaVariant.OURS, j)
-
-    def column(self, j: int) -> list[int]:
-        return self.provider.b_column(self.nprime, j)
 
     def transposed(self, w: list[int] | None) -> list[int]:
         if w is None:  # all ones: the column sums
@@ -184,36 +179,41 @@ def evaluate(stages: Sequence[ResolvedStage], variant: GammaVariant | str,
              halved_c: bool = False) -> BoundReport:
     """Exact upper bound on the number of linear regions of the network.
 
-    ``n0`` is the input dimension, at most the first stage's ``n_in``.
+    ``n0`` is the input dimension, from 0 to the first stage's ``n_in``.
     ``provider`` supplies the blocks of B, under its own cap on their
     order; by default a fresh one with the default cap."""
     variant = GammaVariant(variant)
+    if n0 < 0:
+        raise ValueError(f"n0 = {n0} is negative")
     if stages and n0 > stages[0].n_in:
         raise ValueError(f"n0 = {n0} exceeds the {stages[0].n_in} inputs")
     if provider is None:
         provider = GammaProvider(variant)
     elif provider.variant is not variant:
         raise ValueError("provider variant does not match requested variant")
-    # walk c*unit(j) from unit(n0); last: (n', j, norm) of a diagonal B
-    c, j, e, last = 1, n0, n0, None
+    ours = variant is GammaVariant.OURS
+    # walk c*unit(j), j = d_eff; last: (n', j, norm) of a diagonal B
+    c, j, last = 1, n0, None
     for i, stage in enumerate(stages):
-        ops, e = _stage_map(stage, e, provider, halved_c)
-        for op in ops:
-            if isinstance(op, _Clip):
-                j = min(j, op.k)
-            elif isinstance(op, _Scale):
-                c *= op.factors[j]
-            elif op.diagonal(j):
-                if last is None or last[:2] != (op.nprime, j):
-                    last = op.nprime, j, Norms(op.nprime, j, provider)[j]
-                c *= last[2]
-            else:  # c times column j, met by the transposed pass of the
-                # stages after this one (B ends its stage's map)
-                rest, _ = _stage_maps(stages[i + 1:], e, provider, halved_c)
-                w = _transposed(rest)
-                c *= (Norms(op.nprime, j, provider)[j] if w is None
-                      else sum(map(mul, w, op.column(j))))
-                return BoundReport(c)
+        if stage.kind != "dense":  # a scaling, then a clip or none
+            ops, e = _stage_map(stage, j, provider, halved_c)
+            c, j = c * ops[0].factors[j], e
+            continue
+        n = stage.n_out  # d_eff <= n_in: clip(n_out) clips to the rank
+        j = min(j, n)
+        if not stage.relu:
+            continue
+        provider.check(n, j)  # the block's order, as if it were built
+        if diagonal_column(n, ours, j):
+            if last is None or last[:2] != (n, j):
+                last = n, j, Norms(n, j, provider)[j]
+            c *= last[2]
+            continue
+        # c*<column j, w>, w the transposed pass of the later stages
+        w = _transposed(_stage_maps(stages[i + 1:], j, provider, halved_c)[0])
+        c *= (Norms(n, j, provider)[j] if w is None
+              else sum(map(mul, w, provider.b_column(n, j))))
+        return BoundReport(c)
     return BoundReport(c)
 
 
@@ -257,8 +257,8 @@ def _mlp_bounds(n0: int, ni: int, depths: Iterable[int],
         if relu is None:  # clip, B, then a hidden stage, then the readout
             _, relu, *step, end = _stage_maps(resolve(mlp(n0, ni, 2)), n0,
                                               provider, False)[0]
-            e, depth = relu.k, k + 1
-            norm, column = Norms(relu.nprime, e, provider)[e], relu.column(e)
+            e, n, depth = relu.k, relu.nprime, k + 1
+            norm, column = Norms(n, e, provider)[e], provider.b_column(n, e)
         if k < depth:
             depth, w = 1, end.transposed(None)
         while depth < k:

@@ -50,15 +50,17 @@ gamma_norm(j, nprime) = sum_{s<=j} C(nprime, s), which are B's column
 sums and the max-pooling factors.  One ``Norms`` object gives them: one
 entry, a running sum with no list, or the prefix list.  Both ends are
 read from the provider's block when that covers the index and are
-otherwise stepped from binomials in O(j), never building a block for
-them.  Column j is gamma_norm(j, nprime) times unit(j) when
-``diagonal_column`` holds.
+otherwise stepped from binomials, never building a block for them:
+column j in O(j), one sum in O(min(j, nprime - j)), as the symmetry
+C(nprime, s) = C(nprime, nprime - s) makes it 2^nprime minus the
+nprime - j first binomials when 2j > nprime.  Column j is
+gamma_norm(j, nprime) times unit(j) when ``diagonal_column`` holds.
 """
 from __future__ import annotations
 
 import threading
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb
 from typing import Iterator
 
@@ -101,8 +103,15 @@ def _binomials(n: int, nprime: int) -> Iterator[int]:
 
 def gamma_norm(n: int, nprime: int) -> int:
     """Total mass of gamma(n, nprime): sum_{s<=min(n,nprime)} C(nprime, s),
-    summed as the binomials are made, keeping no list."""
-    return sum(_binomials(min(n, nprime), nprime))
+    summed as the binomials are made, keeping no list.  For 2n > nprime it
+    is 2^nprime - sum_{s<nprime-n} C(nprime, s), as C(nprime, s) =
+    C(nprime, nprime - s): at most min(n, nprime - n) steps either way."""
+    if n < 0 or nprime < 0:
+        raise ValueError("negative arguments")
+    if 2 * n <= nprime:
+        return sum(_binomials(n, nprime))
+    return (1 << nprime) - sum(islice(_binomials(nprime, nprime),
+                                      max(nprime - n, 0)))
 
 
 # -- seeds and closed forms ----------------------------------------------------

@@ -8,6 +8,7 @@ from operator import mul
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (CountingProvider, _ref_factors, _ref_segment,
                       mlp_bound, montufar2017, random_mlp_spec,
@@ -74,6 +75,41 @@ class TestDominanceAndDeterminism:
                                         spec.input_nodes)
         assert ours.bound <= serra.bound
 
+    @settings(max_examples=150, deadline=None)
+    @given(shaped_documents(), st.integers(1, 4))
+    def test_widening_a_relu_layer_never_lowers_a_bound(self, doc, extra):
+        # every dense or conv ReLU block in turn, where the wider net
+        # still resolves (a residual body must still end at its n_in)
+        before = _bounds(doc)
+        for blocks in _block_lists(doc["blocks"]):
+            for block in blocks:
+                (kind, params), = block.items()
+                field = {"dense": "out", "conv": "out_channels"}.get(kind)
+                if field is None or not params["relu"]:
+                    continue
+                params[field] += extra
+                after = _bounds(doc)
+                params[field] -= extra
+                if after is not None:
+                    assert all(map(int.__le__, before, after)), (block, extra)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shaped_documents())
+    def test_a_residual_wrapper_never_lowers_a_bound(self, doc):
+        # every run of consecutive blocks that keeps its input's shape:
+        # wrapped, it resolves to the same stages inside one more wrapper
+        before, leaves = _bounds(doc), list(_leaves(_stages(doc)))
+        for blocks in _block_lists(doc["blocks"]):
+            for a in range(len(blocks)):
+                for b in range(a + 1, len(blocks) + 1):
+                    run = blocks[a:b]
+                    blocks[a:b] = [{"residual": {"body": run}}]
+                    after = _bounds(doc)
+                    if after is not None and \
+                            list(_leaves(_stages(doc))) == leaves:
+                        assert all(map(int.__le__, before, after)), run
+                    blocks[a:a + 1] = run
+
     def test_deterministic(self):
         spec = archspec.builtin("unet_small")
         stages = archspec.resolve(spec)
@@ -93,6 +129,40 @@ class TestDominanceAndDeterminism:
         assert all((op.e if isinstance(op, engine._Clip) else op.k) <= 3
                    for op in ops)
         assert engine.evaluate(stages, "ours", 3).bound == ref[-1][1].l1()
+
+
+def _stages(doc):
+    return archspec.resolve(archspec.parse(doc))
+
+
+def _bounds(doc):
+    """(ours, serra) for an architecture document, or None if it does not
+    resolve."""
+    try:
+        stages = _stages(doc)
+    except archspec.ArchSpecError:
+        return None
+    ours, serra, _ = engine.compare(stages, stages[0].n_in)
+    return ours.bound, serra.bound
+
+
+def _block_lists(blocks):
+    """A document's block list and every wrapper body in it, in preorder."""
+    yield blocks
+    for block in blocks:
+        (params,) = block.values()
+        if "body" in params:
+            yield from _block_lists(params["body"])
+
+
+def _leaves(stages):
+    """Every stage that is not a wrapper, in preorder; a conv stage's
+    label names its input and output shapes."""
+    for stage in stages:
+        if stage.body:
+            yield from _leaves(stage.body)
+        else:
+            yield stage
 
 
 class TestPublishedComparators:
@@ -311,24 +381,40 @@ def _maps_built(stages, n0, variant):
     return seen
 
 
-def _preorder(stages):
+def _d_eff_preorder(stages, e):
+    """(stage, d_eff at its input) for every stage in preorder: a wrapper
+    keeps d_eff, and any other stage leaves min(d_eff, n_out)."""
     for stage in stages:
-        yield stage
-        yield from _preorder(stage.body)
+        yield stage, e
+        yield from _d_eff_preorder(stage.body, e)
+        if not stage.body:
+            e = min(e, stage.n_out)
 
 
 class TestDEffWithinNIn:
     """d_eff starts at n0, the first stage's n_in; each stage leaves at
     most its n_out, or keeps d_eff if it is a wrapper, whose n_out >= n_in.
-    So no stage's map sees d_eff above its n_in, and a dense stage's clip
-    to n_out is the clip to its rank: avgpool and unpool need no other."""
+    So no stage sees d_eff above its n_in, and a dense stage's clip to
+    n_out is the clip to its rank: avgpool and unpool need no other.
+
+    ``evaluate`` maps a stage, at its d_eff, or reads a dense stage on the
+    walk with no map; the walk's d_eff shows in the first map after it."""
 
     @staticmethod
     def check(stages, n0):
+        expected = list(_d_eff_preorder(stages, n0))
+        assert all(e <= stage.n_in for stage, e in expected)
         for variant in ("ours", "serra"):
-            seen = _maps_built(stages, n0, variant)
-            assert [stage for stage, _ in seen] == list(_preorder(stages))
-            assert all(e <= stage.n_in for stage, e in seen)
+            built = iter(_maps_built(stages, n0, variant))
+            walked, following = [], next(built, None)
+            for seen in expected:  # maps come in preorder, at each d_eff
+                if seen == following:
+                    following = next(built, None)
+                else:
+                    walked.append(seen[0])
+            assert following is None
+            assert all(stage.kind == "dense" and stage in stages
+                       for stage in walked)
 
     def test_random_stage_trees(self):
         rng = random.Random(89)
@@ -369,6 +455,24 @@ class TestInputDimension:
 
     def test_no_stage_takes_any_n0(self):
         assert engine.evaluate((), "ours", 7).bound == 1
+
+    @pytest.mark.parametrize("variant", ["ours", "serra"])
+    def test_negative_n0_is_rejected(self, variant):
+        readout = archspec.resolve(archspec.NetworkSpec(
+            4, (archspec.Dense(1, False),)))
+        residual = archspec.resolve(archspec.parse(
+            {"input": {"nodes": 3},
+             "blocks": [{"residual": {"body": [
+                            {"dense": {"out": 3, "relu": True}}]}},
+                        {"dense": {"out": 1, "relu": False}}]}))
+        assert engine.evaluate(readout, variant, 0).bound == 1
+        assert engine.evaluate(residual, variant, 0).bound == 1
+        for stages in ((), readout, residual):
+            for n0 in (-1, -5):
+                with pytest.raises(ValueError, match=f"n0 = {n0} is negative"):
+                    engine.evaluate(stages, variant, n0)
+        with pytest.raises(ValueError, match="n0 = -5 is negative"):
+            engine.compare(residual, -5)
 
 
 class TestMaxpoolMemory:
@@ -610,9 +714,16 @@ class TestOneEntryPerStage:
         for nprime in range(8):
             for n in range(nprime, nprime + 3):
                 assert gamma_norm(n, nprime) == 2 ** nprime
-        for args in ((-1, 3), (3, -1), (-1, -1)):
+        # either side of the middle of the row
+        for args in ((-1, 3), (3, -1), (-1, -1), (0, -1), (-3, 0)):
             with pytest.raises(ValueError, match="negative arguments"):
                 gamma_norm(*args)
+
+    def test_gamma_norm_on_both_sides_of_the_middle(self):
+        for nprime in range(65):
+            row = [math.comb(nprime, s) for s in range(nprime + 1)]
+            for n in range(nprime + 3):
+                assert gamma_norm(n, nprime) == sum(row[:n + 1]), (n, nprime)
 
     def test_gamma_norm_is_the_last_prefix_sum(self):
         for nprime in range(61):
@@ -654,9 +765,8 @@ class TestCompareAndSweep:
 
     def test_sweep_covers_both_regimes(self):
         # the widths above take the diagonal and the chain path each
-        diagonal = {(n0, ni, variant): engine._ReLU(
-                        GammaProvider(variant), ni, min(n0, ni)).diagonal(
-                            min(n0, ni))
+        diagonal = {(n0, ni, variant): gamma.diagonal_column(
+                        ni, variant == "ours", min(n0, ni))
                     for n0, ni in ((3, 16), (3, 40), (6, 4), (6, 7), (6, 9),
                                    (12, 5), (12, 12), (12, 30))
                     for variant in ("ours", "serra")}

@@ -526,7 +526,9 @@ class TestEndsFromTheBlock:
     def test_norms_with_and_without_a_block(self, variant, monkeypatch):
         # no provider, a cold one, and a warm one whose blocks cover
         # j <= n'/2: an entry or prefix list is read from the block when
-        # that covers its index, and stepped from binomials otherwise
+        # that covers its index, and stepped from binomials otherwise; an
+        # entry steps the shorter side of the row, C(n', s) for s <= j or,
+        # past the middle, s < n' - j
         warm = GammaProvider(variant)
         for nprime in range(1, 41):
             transfer.b_matrix(warm, nprime, nprime // 2 + 1)
@@ -538,11 +540,12 @@ class TestEndsFromTheBlock:
         def no_block(*args):
             raise AssertionError("a block was built for a partial sum")
 
-        stepped = []
+        stepped = []  # every binomial made
 
         def counted(*args):
-            stepped.append(args)
-            return binomials(*args)
+            for term in binomials(*args):
+                stepped.append(term)
+                yield term
 
         binomials = gamma._binomials
         monkeypatch.setattr(gamma, "_b_matrix", no_block)
@@ -553,13 +556,15 @@ class TestEndsFromTheBlock:
                     sums = gamma.Norms(nprime, e, p)
                     del stepped[:]
                     assert list(sums) == norms[nprime][:e + 1], (nprime, e)
-                    assert bool(stepped) is not (p is warm
-                                                 and e <= nprime // 2)
+                    assert len(stepped) == (0 if p is warm
+                                            and e <= nprime // 2 else e + 1)
                     for j in range(e + 1):
                         del stepped[:]
                         assert sums[j] == norms[nprime][j], (nprime, e, j)
-                        assert bool(stepped) is not (p is warm
-                                                     and j <= nprime // 2)
+                        assert len(stepped) == (
+                            0 if p is warm and j <= nprime // 2
+                            else j + 1 if 2 * j <= nprime
+                            else nprime - j), (nprime, e, j)
         assert cold._b_matrices == {}
 
     @pytest.mark.parametrize("variant", ["ours", "serra"])
